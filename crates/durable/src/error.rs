@@ -43,12 +43,15 @@ pub enum DurableError {
         /// `k` the caller asked for.
         expected: u32,
     },
-    /// The directory was written with a different WAL stream count than
-    /// the caller configured (records are routed by `seq % streams`).
+    /// The directory was written with a different WAL stream count
+    /// than the one this build reads — for example by a multi-stream
+    /// writer, whose records are spread over `wal-SS-…` segments.
     StreamMismatch {
-        /// Stream count recorded on disk.
+        /// Stream count recorded on disk (for a stray `wal-SS-…`
+        /// segment, the `SS + 1` streams its name implies).
         found: u32,
-        /// Stream count the caller asked for.
+        /// Stream count the caller asked for (1 unless it passed
+        /// another to [`crate::scan`]).
         expected: u32,
     },
     /// No checkpoint survived validation. The layer always writes a

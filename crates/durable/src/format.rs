@@ -27,6 +27,11 @@ use dynamis_serve::wire::{encode_update_body, put_u16, put_u32, put_u64, take_up
 
 /// Version written into every manifest, segment, and checkpoint header.
 pub const FORMAT_VERSION: u16 = 1;
+/// WAL stream count recorded in every manifest and checkpoint header.
+/// The log is a single stream (segments are `wal-00-…`); the field keeps
+/// its place in the layout, and a directory recording any other count
+/// is refused with [`DurableError::StreamMismatch`] rather than misread.
+pub const STREAMS: u32 = 1;
 /// The manifest file name.
 pub const MANIFEST_NAME: &str = "MANIFEST";
 /// Upper bound on one record's payload; anything larger is corruption
@@ -150,7 +155,8 @@ pub struct Manifest {
     pub version: u16,
     /// `k` of the engine whose accepted stream is logged.
     pub k: u32,
-    /// Number of WAL streams records are routed across.
+    /// WAL stream count; [`STREAMS`] in every directory this build
+    /// opens.
     pub streams: u32,
 }
 
@@ -203,7 +209,7 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, DurableError> {
 pub struct SegmentHeader {
     /// Format version of this segment.
     pub version: u16,
-    /// The stream this segment belongs to.
+    /// The stream this segment belongs to (0; see [`STREAMS`]).
     pub stream: u32,
     /// Global sequence number of the first record written to it.
     pub start_seq: u64,

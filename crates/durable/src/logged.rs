@@ -15,9 +15,9 @@
 use crate::error::DurableError;
 use crate::format::{
     checkpoint_name, encode_checkpoint_with, encode_manifest, parse_checkpoint_name,
-    parse_segment_name, MANIFEST_NAME,
+    parse_segment_name, MANIFEST_NAME, STREAMS,
 };
-use crate::recover::{apply_repairs, scan};
+use crate::recover::{apply_repairs, check_streams, scan};
 use crate::storage::WalStorage;
 use crate::wal::{GroupCommit, SyncPolicy, Wal};
 use dynamis_core::{DynamicMis, EngineBuilder, EngineError, Snapshot, SolutionDelta};
@@ -28,10 +28,6 @@ use std::time::Instant;
 /// Tuning for a durable directory.
 #[derive(Debug, Clone, Copy)]
 pub struct DurableOptions {
-    /// WAL streams records are routed across (`seq % streams`). Use the
-    /// shard count for a sharded service so the log parallelism matches
-    /// the write parallelism; pinned in the manifest.
-    pub streams: u32,
     /// When appends reach stable storage.
     pub sync: SyncPolicy,
     /// Accepted updates between snapshot checkpoints.
@@ -47,7 +43,6 @@ pub struct DurableOptions {
 impl Default for DurableOptions {
     fn default() -> Self {
         DurableOptions {
-            streams: 1,
             sync: SyncPolicy::Group,
             // A checkpoint is an O(n + m) encode of the live graph
             // plus a write and fsync: about 0.12 s for the 17 MB file
@@ -85,8 +80,9 @@ pub struct Prepared {
 
 /// Opens a durable directory: initializes an empty one (manifest now,
 /// bootstrap checkpoint at attach), or scans + repairs an existing one.
-/// `k` and `opts.streams` must match the manifest of an existing
-/// directory — mismatches are typed refusals.
+/// `k` must match the manifest of an existing directory, and so must
+/// the single WAL stream this build writes — mismatches are typed
+/// refusals.
 pub fn prepare(
     storage: Arc<dyn WalStorage>,
     k: u32,
@@ -109,16 +105,11 @@ pub fn prepare(
                     expected: k,
                 });
             }
-            if m.streams != opts.streams {
-                return Err(DurableError::StreamMismatch {
-                    found: m.streams,
-                    expected: opts.streams,
-                });
-            }
+            check_streams(m.streams)?;
         } else {
             let tmp = "MANIFEST.tmp";
             storage.create(tmp)?;
-            storage.append(tmp, &encode_manifest(k, opts.streams))?;
+            storage.append(tmp, &encode_manifest(k, STREAMS))?;
             storage.sync(tmp)?;
             storage.rename(tmp, MANIFEST_NAME)?;
         }
@@ -138,7 +129,7 @@ pub fn prepare(
             k,
         });
     }
-    let report = scan(&*storage, Some(k), Some(opts.streams))?;
+    let report = scan(&*storage, Some(k), None)?;
     apply_repairs(&*storage, &report.repairs)?;
     Ok(Prepared {
         recovered_seq: report.recovered_seq,
@@ -204,7 +195,6 @@ impl Prepared {
         let g = dynamis_obs::global();
         let wal = Wal::new(
             Arc::clone(&self.storage),
-            self.opts.streams,
             self.recovered_seq + 1,
             self.opts.segment_bytes,
             // Under `Never` nothing ever drains the synced-names set, so
@@ -223,7 +213,6 @@ impl Prepared {
             since_checkpoint: 0,
             keep_checkpoints: self.opts.keep_checkpoints.max(1),
             k: self.k,
-            streams: self.opts.streams,
             dead: false,
             records: g.counter("durable_wal_records_total"),
             checkpoints: g.counter("durable_checkpoints_total"),
@@ -259,7 +248,6 @@ pub struct Logged {
     since_checkpoint: u64,
     keep_checkpoints: usize,
     k: u32,
-    streams: u32,
     dead: bool,
     records: Arc<dynamis_obs::Counter>,
     checkpoints: Arc<dynamis_obs::Counter>,
@@ -333,7 +321,7 @@ impl Logged {
 
     /// Encodes the live engine state into the checkpoint buffer (no
     /// graph clone), publishes it atomically (tmp → sync → rename),
-    /// rolls the segments, and prunes history below the oldest retained
+    /// rolls the segment, and prunes history below the oldest retained
     /// checkpoint. The recorded duration covers flush to rename.
     fn write_checkpoint(&mut self) -> std::io::Result<()> {
         let start = Instant::now();
@@ -342,7 +330,7 @@ impl Logged {
         // falls back to an older one plus exactly these records.
         self.wal.flush()?;
         let seq = self.last_seq();
-        let bytes = encode_checkpoint_with(self.k, self.streams, seq, |out| {
+        let bytes = encode_checkpoint_with(self.k, STREAMS, seq, |out| {
             Snapshot::encode_engine_into(self.inner.as_ref(), out)
         });
         let tmp = format!("ckpt-{seq:016}.tmp");
@@ -354,7 +342,7 @@ impl Logged {
         self.checkpoints.add(1);
         self.checkpoint_ns.record(start.elapsed().as_nanos() as u64);
         self.checkpoint_bytes.set(bytes.len() as u64);
-        self.wal.roll_all()?;
+        self.wal.roll()?;
         self.prune()
     }
 
@@ -375,25 +363,19 @@ impl Logged {
         }
         let oldest_kept = self.keep_checkpoints.min(ckpts.len()) - 1;
         let horizon = ckpts[oldest_kept].0;
-        // A segment is removable when its successor in the same stream
-        // starts at or below `horizon + 1` — then every record it holds
-        // is covered by the oldest retained checkpoint.
-        let mut per_stream: Vec<Vec<(u64, &String)>> = vec![Vec::new(); self.streams as usize];
-        for n in &names {
-            if let Some((stream, start)) = parse_segment_name(n) {
-                if (stream as usize) < per_stream.len() {
-                    per_stream[stream as usize].push((start, n));
-                }
-            }
-        }
-        for files in per_stream.iter_mut() {
-            files.sort();
-            for w in files.windows(2) {
-                let (_, name) = w[0];
-                let (next_start, _) = w[1];
-                if next_start <= horizon + 1 {
-                    self.storage.remove(name)?;
-                }
+        // A segment is removable when its successor starts at or below
+        // `horizon + 1` — then every record it holds is covered by the
+        // oldest retained checkpoint.
+        let mut segs: Vec<(u64, &String)> = names
+            .iter()
+            .filter_map(|n| parse_segment_name(n).map(|(_, start)| (start, n)))
+            .collect();
+        segs.sort();
+        for w in segs.windows(2) {
+            let (_, name) = w[0];
+            let (next_start, _) = w[1];
+            if next_start <= horizon + 1 {
+                self.storage.remove(name)?;
             }
         }
         Ok(())

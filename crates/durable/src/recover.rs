@@ -9,21 +9,24 @@
 //! - A newer *format version* or a mismatched *k* is a typed refusal,
 //!   never a fallback — those mean operator error, and guessing would
 //!   silently produce a different solution.
-//! - Only the **final** segment of a stream may end in damage (the torn
-//!   tail of the crashed write); recovery truncates it rather than
-//!   trusting it. Damage anywhere else cannot be produced by a crash
-//!   and is reported as corruption.
+//! - Only the **final** segment may end in damage (the torn tail of the
+//!   crashed write); recovery truncates it rather than trusting it.
+//!   Damage anywhere else cannot be produced by a crash and is reported
+//!   as corruption.
+//! - The log is one stream. A manifest, checkpoint, or segment name
+//!   recording another stream count is a typed refusal
+//!   ([`DurableError::StreamMismatch`]), never a partial read.
 //! - The recovered stream is the longest *contiguous* run of sequence
-//!   numbers above the checkpoint. Records beyond a gap (possible only
-//!   under mid-log damage in a multi-stream layout) are dropped and
-//!   their bytes scheduled for truncation, so a reopened log never
-//!   collides with stale sequence numbers.
+//!   numbers above the checkpoint. Records beyond a gap (a segment
+//!   missing from the middle of the log) are dropped and their bytes
+//!   scheduled for truncation, so a reopened log never collides with
+//!   stale sequence numbers.
 
 use crate::error::DurableError;
 use crate::format::{
     decode_checkpoint, decode_manifest, decode_record, decode_segment_header, is_tmp_name,
     parse_checkpoint_name, parse_segment_name, CheckpointOutcome, Manifest, RecordStep,
-    MANIFEST_NAME, SEGMENT_HEADER_LEN,
+    MANIFEST_NAME, SEGMENT_HEADER_LEN, STREAMS,
 };
 use crate::storage::WalStorage;
 use dynamis_core::Snapshot;
@@ -144,9 +147,24 @@ pub fn newest_checkpoint(
     Err(DurableError::NoCheckpoint)
 }
 
+/// Refuses a stream count other than the single stream this build
+/// writes: `found` is what a manifest or checkpoint header records (or
+/// what a stray segment name implies).
+pub(crate) fn check_streams(found: u32) -> Result<(), DurableError> {
+    if found == STREAMS {
+        Ok(())
+    } else {
+        Err(DurableError::StreamMismatch {
+            found,
+            expected: STREAMS,
+        })
+    }
+}
+
 /// Scans `storage` without mutating it. `expected_k` / `expected_streams`
 /// (when given) must match the manifest, else the scan is refused with
-/// the corresponding typed error.
+/// the corresponding typed error. A manifest recording any stream count
+/// but the single stream this build writes is refused either way.
 pub fn scan(
     storage: &dyn WalStorage,
     expected_k: Option<u32>,
@@ -173,6 +191,16 @@ pub fn scan(
             });
         }
     }
+    check_streams(manifest.streams)?;
+    let mut files: Vec<(u64, String)> = Vec::new();
+    for n in &names {
+        if let Some((stream, start_seq)) = parse_segment_name(n) {
+            // `wal-SS-…` with SS > 0 was written by a multi-stream log.
+            check_streams(stream.saturating_add(1))?;
+            files.push((start_seq, n.clone()));
+        }
+    }
+    files.sort();
 
     let mut removes: Vec<String> = names.iter().filter(|n| is_tmp_name(n)).cloned().collect();
     let mut truncates: BTreeMap<String, u64> = BTreeMap::new();
@@ -184,48 +212,20 @@ pub fn scan(
     removes.extend(picked.damaged);
     let (checkpoint_seq, snapshot) = (picked.seq, picked.snapshot);
 
-    // ---- decode every stream's segments ------------------------------
-    let streams = manifest.streams.max(1);
-    let mut per_stream_files: Vec<Vec<(u64, String)>> = vec![Vec::new(); streams as usize];
-    for n in &names {
-        if let Some((stream, start_seq)) = parse_segment_name(n) {
-            if stream >= streams {
-                return Err(DurableError::Corrupt {
-                    file: n.clone(),
-                    what: "segment stream index out of range",
-                });
-            }
-            per_stream_files[stream as usize].push((start_seq, n.clone()));
-        }
-    }
-    // (seq, update) above the checkpoint, plus where each record lives
-    // so orphans beyond a gap can be cut.
-    let mut records: BTreeMap<u64, Update> = BTreeMap::new();
-    let mut positions: Vec<Vec<(u64, usize, u64)>> = vec![Vec::new(); streams as usize];
-    for (s, files) in per_stream_files.iter_mut().enumerate() {
-        files.sort();
-        let mut last_seq: Option<u64> = None;
-        for (fi, (start_seq, name)) in files.iter().enumerate() {
-            let last_file = fi == files.len() - 1;
-            let bytes = storage.read(name)?;
-            // Damage verdict for this position in the stream: the final
-            // segment's tail is a legal crash artifact (truncate it);
-            // anything earlier no crash can produce.
-            let hdr = match decode_segment_header(&bytes) {
-                Ok(hdr) => hdr,
-                Err(what) => {
-                    if last_file {
-                        removes.push(name.clone());
-                        torn_bytes += bytes.len() as u64;
-                        break;
-                    }
-                    return Err(DurableError::Corrupt {
-                        file: name.clone(),
-                        what,
-                    });
-                }
-            };
-            if hdr.stream != s as u32 || hdr.start_seq != *start_seq {
+    // ---- decode the segments in order ---------------------------------
+    // (seq, file index, offset, update) above the checkpoint, in log
+    // order; the position lets orphans beyond a gap be cut.
+    let mut records: Vec<(u64, usize, u64, Update)> = Vec::new();
+    let mut last_seq: Option<u64> = None;
+    for (fi, (start_seq, name)) in files.iter().enumerate() {
+        let last_file = fi == files.len() - 1;
+        let bytes = storage.read(name)?;
+        // Damage verdict for this position in the log: the final
+        // segment's tail is a legal crash artifact (truncate it);
+        // anything earlier no crash can produce.
+        let hdr = match decode_segment_header(&bytes) {
+            Ok(hdr) => hdr,
+            Err(what) => {
                 if last_file {
                     removes.push(name.clone());
                     torn_bytes += bytes.len() as u64;
@@ -233,76 +233,73 @@ pub fn scan(
                 }
                 return Err(DurableError::Corrupt {
                     file: name.clone(),
-                    what: "segment header disagrees with its file name",
+                    what,
                 });
             }
-            let mut off = SEGMENT_HEADER_LEN;
-            loop {
-                match decode_record(&bytes, off) {
-                    RecordStep::End => break,
-                    RecordStep::Damaged(what) => {
-                        if last_file {
-                            truncates.insert(name.clone(), off as u64);
-                            torn_bytes += (bytes.len() - off) as u64;
-                            break;
-                        }
+        };
+        if hdr.stream != 0 || hdr.start_seq != *start_seq {
+            if last_file {
+                removes.push(name.clone());
+                torn_bytes += bytes.len() as u64;
+                break;
+            }
+            return Err(DurableError::Corrupt {
+                file: name.clone(),
+                what: "segment header disagrees with its file name",
+            });
+        }
+        let mut off = SEGMENT_HEADER_LEN;
+        loop {
+            match decode_record(&bytes, off) {
+                RecordStep::End => break,
+                RecordStep::Damaged(what) => {
+                    if last_file {
+                        truncates.insert(name.clone(), off as u64);
+                        torn_bytes += (bytes.len() - off) as u64;
+                        break;
+                    }
+                    return Err(DurableError::Corrupt {
+                        file: name.clone(),
+                        what,
+                    });
+                }
+                RecordStep::Record { seq, update, next } => {
+                    if last_seq.is_some_and(|p| seq <= p) {
                         return Err(DurableError::Corrupt {
                             file: name.clone(),
-                            what,
+                            what: "sequence numbers not increasing",
                         });
                     }
-                    RecordStep::Record { seq, update, next } => {
-                        if seq % streams as u64 != s as u64 {
-                            return Err(DurableError::Corrupt {
-                                file: name.clone(),
-                                what: "record routed to the wrong stream",
-                            });
-                        }
-                        if last_seq.is_some_and(|p| seq <= p) {
-                            return Err(DurableError::Corrupt {
-                                file: name.clone(),
-                                what: "sequence numbers not increasing",
-                            });
-                        }
-                        last_seq = Some(seq);
-                        if seq > checkpoint_seq {
-                            positions[s].push((seq, fi, off as u64));
-                            if records.insert(seq, update).is_some() {
-                                return Err(DurableError::Corrupt {
-                                    file: name.clone(),
-                                    what: "duplicate sequence number",
-                                });
-                            }
-                        }
-                        off = next;
+                    last_seq = Some(seq);
+                    if seq > checkpoint_seq {
+                        records.push((seq, fi, off as u64, update));
                     }
+                    off = next;
                 }
             }
         }
     }
 
     // ---- longest contiguous prefix above the checkpoint --------------
-    let mut recovered_seq = checkpoint_seq;
-    let mut tail = Vec::new();
-    while let Some(update) = records.remove(&(recovered_seq + 1)) {
-        recovered_seq += 1;
-        tail.push(update);
-    }
-    let dropped_records = records.len() as u64;
-    if dropped_records > 0 {
-        // Cut each stream at its first orphan so reopened appends can
-        // never collide with stale sequence numbers.
-        for (s, pos) in positions.iter().enumerate() {
-            if let Some(&(_, fi, off)) = pos.iter().find(|(seq, _, _)| *seq > recovered_seq) {
-                let (_, name) = &per_stream_files[s][fi];
-                let cut = truncates.get(name).map_or(off, |&t| t.min(off));
-                truncates.insert(name.clone(), cut);
-                for (_, later) in &per_stream_files[s][fi + 1..] {
-                    removes.push(later.clone());
-                }
-            }
+    let contiguous = records
+        .iter()
+        .zip(checkpoint_seq + 1..)
+        .take_while(|((seq, ..), want)| seq == want)
+        .count();
+    let recovered_seq = checkpoint_seq + contiguous as u64;
+    let dropped_records = (records.len() - contiguous) as u64;
+    if let Some(&(_, fi, off, _)) = records.get(contiguous) {
+        // Cut the log at its first orphan so reopened appends can never
+        // collide with stale sequence numbers.
+        let name = &files[fi].1;
+        let cut = truncates.get(name).map_or(off, |&t| t.min(off));
+        truncates.insert(name.clone(), cut);
+        for (_, later) in &files[fi + 1..] {
+            removes.push(later.clone());
         }
     }
+    records.truncate(contiguous);
+    let tail = records.into_iter().map(|(.., update)| update).collect();
 
     let mut repairs: Vec<Repair> = Vec::new();
     for name in removes {

@@ -37,7 +37,6 @@ fn record(seed: u64) -> Recorded {
     let storage = MemStorage::new();
     let arc: Arc<dyn WalStorage> = Arc::new(storage.clone());
     let opts = DurableOptions {
-        streams: 1,
         sync: SyncPolicy::Never,
         checkpoint_every: 12,
         segment_bytes: 200,
@@ -273,4 +272,78 @@ fn checkpoint_k_flip_is_a_typed_refusal() {
         }) => {}
         other => panic!("expected KMismatch, got {other:?}"),
     }
+}
+
+/// The log is one stream, but the manifest, the checkpoint header and
+/// the segment names keep their stream fields. A directory a
+/// multi-stream writer left behind is refused with the typed error by
+/// both `scan` and `prepare`, before anything is repaired — never read
+/// as if its records were one stream. A fresh directory's files record
+/// one stream, byte for byte.
+#[test]
+fn multi_stream_directories_are_refused_not_misread() {
+    let refused = |fs: &MemStorage, what: &str| {
+        let before = fs.list().unwrap();
+        match scan(fs, None, None) {
+            Err(DurableError::StreamMismatch {
+                found: 2,
+                expected: 1,
+            }) => {}
+            other => panic!("{what}: scan: expected StreamMismatch, got {other:?}"),
+        }
+        let arc: Arc<dyn WalStorage> = Arc::new(fs.clone());
+        match prepare(arc, 2, DurableOptions::default()) {
+            Err(DurableError::StreamMismatch {
+                found: 2,
+                expected: 1,
+            }) => {}
+            Err(other) => panic!("{what}: prepare: expected StreamMismatch, got {other:?}"),
+            Ok(_) => panic!("{what}: prepare: expected StreamMismatch, got Ok"),
+        }
+        assert_eq!(
+            fs.list().unwrap(),
+            before,
+            "{what}: refusal must not mutate"
+        );
+    };
+    let r = record(20);
+
+    let fs = fork(&r.storage);
+    fs.overwrite(format::MANIFEST_NAME, format::encode_manifest(2, 2));
+    refused(&fs, "two-stream manifest");
+
+    let fs = MemStorage::new();
+    fs.overwrite(format::MANIFEST_NAME, format::encode_manifest(2, 2));
+    refused(&fs, "two-stream manifest of an empty directory");
+
+    let fs = fork(&r.storage);
+    let (seq, ckpt) = fs
+        .list()
+        .unwrap()
+        .into_iter()
+        .filter_map(|n| format::parse_checkpoint_name(&n).map(|seq| (seq, n)))
+        .max()
+        .unwrap();
+    let body = fs.read(&ckpt).unwrap()[format::CKPT_HEADER_LEN..].to_vec();
+    fs.overwrite(&ckpt, format::encode_checkpoint(2, 2, seq, &body));
+    refused(&fs, "two-stream checkpoint header");
+
+    let fs = fork(&r.storage);
+    fs.overwrite(
+        &format::segment_name(1, 2),
+        format::encode_segment_header(1, 2),
+    );
+    refused(&fs, "stray wal-01 segment");
+
+    let names = r.storage.list().unwrap();
+    assert!(names
+        .iter()
+        .filter_map(|n| format::parse_segment_name(n))
+        .all(|(stream, _)| stream == 0));
+    let fresh = MemStorage::new();
+    prepare(Arc::new(fresh.clone()), 2, DurableOptions::default()).unwrap();
+    assert_eq!(
+        fresh.read(format::MANIFEST_NAME).unwrap(),
+        format::encode_manifest(2, 1)
+    );
 }

@@ -202,21 +202,6 @@ impl DynamicGraph {
         first
     }
 
-    /// Ensures ids `0..=v` exist and that `v` is alive. Used by bulk loaders
-    /// that read explicit vertex ids.
-    pub fn ensure_vertex(&mut self, v: VertexId) {
-        while self.adj.len() <= v as usize {
-            self.adj.push(Vec::new());
-            self.marked.push(Vec::new());
-            self.alive.push(false);
-        }
-        if !self.alive[v as usize] {
-            self.alive[v as usize] = true;
-            self.n_alive += 1;
-            self.free.retain(|&f| f != v);
-        }
-    }
-
     /// Removes `v` and all incident edges, returning its former neighbors.
     ///
     /// Any marks involving `v` — marks `v` held on its own half-edges and
@@ -677,19 +662,6 @@ mod tests {
         let v = g.add_vertex();
         assert_eq!(v, 1, "freed slot is reused");
         assert_eq!(g.num_vertices(), 3);
-        g.check_consistency().unwrap();
-    }
-
-    #[test]
-    fn ensure_vertex_extends_and_revives() {
-        let mut g = DynamicGraph::new();
-        g.ensure_vertex(5);
-        assert!(g.is_alive(5));
-        assert!(!g.is_alive(3));
-        assert_eq!(g.num_vertices(), 1);
-        g.ensure_vertex(3);
-        assert_eq!(g.num_vertices(), 2);
-        g.insert_edge(3, 5).unwrap();
         g.check_consistency().unwrap();
     }
 

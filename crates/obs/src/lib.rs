@@ -1,7 +1,7 @@
 //! Unified telemetry for the dynamis serving stack.
 //!
 //! Every layer of the system — the core engine, the single-writer
-//! service, the sharded coordinator, and the network front end —
+//! service, the write-ahead log, and the network front end —
 //! records into one process-global [`MetricsRegistry`] of cheap atomic
 //! [`Counter`]s, [`Gauge`]s, and log-bucketed [`Histogram`]s. Recording
 //! is lock-free (one or a few relaxed atomic RMWs) and never blocks the

@@ -1,6 +1,6 @@
 //! Concurrent-recording property tests: a histogram hammered from many
-//! threads loses no updates, and per-thread (shard-cell style)
-//! snapshots merge to exactly the union — saturating, never wrapping.
+//! threads loses no updates, and per-thread snapshots merge to
+//! exactly the union — saturating, never wrapping.
 //! Same class of bug the PR7 wire fuzzer existed to catch, now pinned
 //! at the metrics layer.
 
@@ -57,9 +57,8 @@ proptest! {
         );
     }
 
-    /// N threads record into their OWN histograms (the shard-cell
-    /// shape); merging the per-thread snapshots equals one histogram
-    /// that saw every value.
+    /// N threads record into their OWN histograms; merging the
+    /// per-thread snapshots equals one histogram that saw every value.
     #[test]
     fn merged_cell_snapshots_equal_the_union(seed in 0u64..u64::MAX, threads in 2usize..6) {
         let per_thread = 1_000usize;

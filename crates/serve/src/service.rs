@@ -284,11 +284,6 @@ impl IngestHandle {
             .map(|rx| BatchTicket { rx: rx.unwrap() })
     }
 
-    /// Fire-and-forget batch.
-    pub fn submit_batch_detached(&self, updates: Vec<Update>) -> Result<(), ServeError> {
-        self.send(Payload::Many(updates), false, true).map(|_| ())
-    }
-
     /// Point-in-time counter snapshot — same view as
     /// [`ServiceHandle::stats`], available to feeder threads that only
     /// hold an ingest handle (the network front end's session threads).
@@ -339,11 +334,6 @@ impl ServiceHandle {
     /// Enqueues a pre-formed batch as one command.
     pub fn submit_batch(&self, updates: Vec<Update>) -> Result<BatchTicket, ServeError> {
         self.ingest.submit_batch(updates)
-    }
-
-    /// Fire-and-forget batch.
-    pub fn submit_batch_detached(&self, updates: Vec<Update>) -> Result<(), ServeError> {
-        self.ingest.submit_batch_detached(updates)
     }
 
     /// A cloneable submit-only handle for feeder threads.
