@@ -267,14 +267,14 @@ fn main() {
                     }
                 }
             }
-            let s = writer.stats().unwrap();
-            if s.queue_depth == 0 && s.head_seq > deep {
-                break s.head_seq;
+            let m = writer.metrics().unwrap();
+            let head = m.gauge("serve_head_seq").unwrap_or(0);
+            if m.gauge("serve_queue_depth") == Some(0) && head > deep {
+                break head;
             }
             assert!(
                 Instant::now() < deadline,
-                "history never outgrew the window (head {})",
-                s.head_seq
+                "history never outgrew the window (head {head})"
             );
         }
     };

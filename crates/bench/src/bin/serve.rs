@@ -33,7 +33,8 @@ use dynamis_gen::powerlaw::chung_lu;
 use dynamis_gen::{StreamConfig, UpdateStream};
 use dynamis_graph::io::edgelist::read_dynamic;
 use dynamis_graph::{DynamicGraph, Update};
-use dynamis_serve::{MisService, ServeConfig, ServiceStats};
+use dynamis_obs::{bucket_bounds, HistogramSnapshot, MetricsSnapshot};
+use dynamis_serve::{MisService, ServeConfig};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -61,7 +62,28 @@ struct RunReport {
     queries: u64,
     queries_per_sec: f64,
     solution_size: usize,
-    serve_stats: Option<ServiceStats>,
+    serve_metrics: Option<MetricsSnapshot>,
+}
+
+/// Power-of-two buckets of the reported batch-size histogram: bucket
+/// `i` counts merged batches of `2^i ..= 2^(i+1) - 1` updates (the last
+/// bucket is open-ended).
+const BATCH_OCTAVES: usize = 9;
+
+/// The octave bucket of a merged batch of `size` updates.
+fn octave(size: u64) -> usize {
+    (63 - size.max(1).leading_zeros() as usize).min(BATCH_OCTAVES - 1)
+}
+
+/// Folds the service's full-resolution `serve_batch_size` histogram
+/// into [`BATCH_OCTAVES`] buckets. The fold is exact: no log bucket
+/// crosses an octave.
+fn batch_octaves(h: &HistogramSnapshot) -> [u64; BATCH_OCTAVES] {
+    let mut out = [0u64; BATCH_OCTAVES];
+    for &(idx, count) in &h.buckets {
+        out[octave(bucket_bounds(idx as usize).0)] += count;
+    }
+    out
 }
 
 /// Pseudo-random query key sequence (Knuth multiplicative hashing) —
@@ -118,8 +140,13 @@ fn run_serve(
     stop.store(true, Ordering::Relaxed);
     let queries: u64 = reader_threads.into_iter().map(|h| h.join().unwrap()).sum();
 
-    assert_eq!(report.stats.applied as usize, ups.len());
-    assert_eq!(report.stats.desyncs, 0, "broadcast must never desync");
+    let m = &report.metrics;
+    assert_eq!(m.counter("serve_applied_total"), Some(ups.len() as u64));
+    assert_eq!(
+        m.counter("serve_desyncs_total"),
+        Some(0),
+        "broadcast must never desync"
+    );
     assert_eq!(
         reader0.snapshot(),
         report.solution,
@@ -137,7 +164,7 @@ fn run_serve(
         queries,
         queries_per_sec: queries as f64 / run_secs,
         solution_size: report.solution.len(),
-        serve_stats: Some(report.stats),
+        serve_metrics: Some(report.metrics),
     }
 }
 
@@ -198,7 +225,7 @@ fn run_mutex(
         queries,
         queries_per_sec: queries as f64 / run_secs,
         solution_size,
-        serve_stats: None,
+        serve_metrics: None,
     }
 }
 
@@ -274,9 +301,9 @@ fn main() {
             } else {
                 format!("{:.0}", r.queries_per_sec)
             },
-            r.serve_stats
-                .as_ref()
-                .map_or("-".into(), |s| format!("{:.1}", s.mean_batch())),
+            r.serve_metrics.as_ref().map_or("-".into(), |m| {
+                format!("{:.1}", m.histogram("serve_batch_size").unwrap().mean())
+            }),
             r.solution_size.to_string(),
         ]);
     }
@@ -295,17 +322,21 @@ fn main() {
     .unwrap();
     writeln!(json, "  \"runs\": [").unwrap();
     for (i, r) in reports.iter().enumerate() {
-        let serve_extra = r.serve_stats.as_ref().map_or(String::from("null"), |s| {
-            let hist: Vec<String> = s.batch_hist.iter().map(|b| b.to_string()).collect();
+        let serve_extra = r.serve_metrics.as_ref().map_or(String::from("null"), |m| {
+            let batches = m.histogram("serve_batch_size").unwrap();
+            let hist: Vec<String> = batch_octaves(batches)
+                .iter()
+                .map(|b| b.to_string())
+                .collect();
             format!(
                 "{{\"batches\": {}, \"mean_batch\": {:.2}, \"batch_hist\": [{}], \
                  \"head_seq\": {}, \"resyncs\": {}, \"desyncs\": {}}}",
-                s.batches,
-                s.mean_batch(),
+                batches.count,
+                batches.mean(),
                 hist.join(", "),
-                s.head_seq,
-                s.resyncs,
-                s.desyncs
+                m.gauge("serve_head_seq").unwrap_or(0),
+                m.counter("serve_resyncs_total").unwrap_or(0),
+                m.counter("serve_desyncs_total").unwrap_or(0)
             )
         });
         writeln!(
@@ -358,5 +389,28 @@ fn main() {
                 get("serve", |r| r.updates_per_sec) / get("mutex", |r| r.updates_per_sec),
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dynamis_obs::Histogram;
+
+    #[test]
+    fn histogram_buckets_are_powers_of_two() {
+        assert_eq!(octave(1), 0);
+        assert_eq!(octave(2), 1);
+        assert_eq!(octave(3), 1);
+        assert_eq!(octave(4), 2);
+        assert_eq!(octave(255), 7);
+        assert_eq!(octave(256), 8);
+        assert_eq!(octave(1 << 20), BATCH_OCTAVES - 1);
+        // The fold of a full-resolution histogram is exact.
+        let h = Histogram::new();
+        for size in [1, 3, 3, 17, 255, 256, 1 << 20] {
+            h.record(size);
+        }
+        assert_eq!(batch_octaves(&h.snapshot()), [1, 2, 0, 0, 1, 0, 0, 1, 2]);
     }
 }

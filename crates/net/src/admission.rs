@@ -11,17 +11,19 @@
 //! boundary, exactly like the writer's whole-round releases keep
 //! feeders from waking once per slot.
 
-use dynamis_obs::Counter;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use dynamis_obs::{Counter, MetricsRegistry};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Hysteretic shed/accept gate shared by every session thread.
 #[derive(Debug)]
 pub struct Admission {
     shedding: AtomicBool,
-    shed_count: AtomicU64,
     high: u64,
     low: u64,
+    /// Requests (and door-refused sessions) shed, exported as
+    /// `net_shed_total`.
+    shed: Arc<Counter>,
     /// Shed-state flips (both directions), exported as
     /// `net_shed_transitions_total`; each flip also records a
     /// `shed_on` / `shed_off` event.
@@ -30,15 +32,15 @@ pub struct Admission {
 
 impl Admission {
     /// A gate that starts shedding at queue depth `high` and re-admits
-    /// at `low` (clamped to `< high`).
-    pub fn new(high: u64, low: u64) -> Self {
+    /// at `low` (clamped to `< high`), counting into `registry`.
+    pub fn new(high: u64, low: u64, registry: &MetricsRegistry) -> Self {
         let high = high.max(1);
         Admission {
             shedding: AtomicBool::new(false),
-            shed_count: AtomicU64::new(0),
             high,
             low: low.min(high - 1),
-            transitions: dynamis_obs::global().counter("net_shed_transitions_total"),
+            shed: registry.counter("net_shed_total"),
+            transitions: registry.counter("net_shed_transitions_total"),
         }
     }
 
@@ -61,14 +63,14 @@ impl Admission {
                     self.on_transition(false, queue_depth);
                 }
             } else {
-                self.shed_count.fetch_add(1, Ordering::Relaxed);
+                self.shed.inc();
                 return false;
             }
         } else if queue_depth >= self.high {
             if !self.shedding.swap(true, Ordering::Relaxed) {
                 self.on_transition(true, queue_depth);
             }
-            self.shed_count.fetch_add(1, Ordering::Relaxed);
+            self.shed.inc();
             return false;
         }
         true
@@ -82,13 +84,13 @@ impl Admission {
         if !self.shedding.swap(true, Ordering::Relaxed) {
             self.on_transition(true, self.high);
         }
-        self.shed_count.fetch_add(1, Ordering::Relaxed);
+        self.shed.inc();
     }
 
     /// Records a shed that bypassed [`Admission::admit`] (e.g. a whole
     /// session refused at the accept door).
     pub fn count_shed(&self) {
-        self.shed_count.fetch_add(1, Ordering::Relaxed);
+        self.shed.inc();
     }
 
     /// Whether the gate is currently shedding.
@@ -98,7 +100,7 @@ impl Admission {
 
     /// Requests shed so far (monotone).
     pub fn shed_count(&self) -> u64 {
-        self.shed_count.load(Ordering::Relaxed)
+        self.shed.get()
     }
 }
 
@@ -108,7 +110,7 @@ mod tests {
 
     #[test]
     fn hysteresis_does_not_flap_at_the_boundary() {
-        let a = Admission::new(100, 25);
+        let a = Admission::new(100, 25, &MetricsRegistry::new());
         assert!(a.admit(0));
         assert!(a.admit(99), "below high: admit");
         assert!(!a.admit(100), "at high: shed starts");
@@ -124,7 +126,7 @@ mod tests {
 
     #[test]
     fn queue_full_is_ground_truth() {
-        let a = Admission::new(1000, 10);
+        let a = Admission::new(1000, 10, &MetricsRegistry::new());
         assert!(a.admit(5));
         a.on_queue_full();
         assert!(a.is_shedding());

@@ -50,18 +50,6 @@ pub enum NetError {
     /// A delta arrived in order but contradicted the mirror's state —
     /// the stream is corrupt; re-subscribe from a checkpoint.
     Mirror(MirrorError),
-    /// The server's negotiated protocol version predates a feature this
-    /// client asked for (e.g. filtered subscriptions or snapshot
-    /// bootstrap against a version-1 server). Refused locally, before
-    /// any bytes hit the wire.
-    Unsupported {
-        /// The feature that needs a newer server.
-        feature: &'static str,
-        /// Protocol version the server negotiated.
-        server: u16,
-        /// Minimum protocol version the feature needs.
-        needed: u16,
-    },
     /// A filtered subscription delivered a vertex outside its filter —
     /// a server bug; the stream cannot be trusted.
     OutOfFilter {
@@ -91,14 +79,6 @@ impl fmt::Display for NetError {
                 "subscription stream gap: expected seq {expected}, got {got}"
             ),
             NetError::Mirror(e) => write!(f, "subscription stream corrupt: {e}"),
-            NetError::Unsupported {
-                feature,
-                server,
-                needed,
-            } => write!(
-                f,
-                "{feature} needs protocol {needed}, but the server speaks {server}"
-            ),
             NetError::OutOfFilter { vertex } => write!(
                 f,
                 "filtered subscription delivered out-of-filter vertex {vertex}"

@@ -7,10 +7,10 @@
 //! - [`frame`] — the transport unit: `u32` little-endian length prefix
 //!   plus payload, with a reassembly buffer for streaming reads.
 //! - [`proto`] — the typed [`proto::Request`]/[`proto::Response`]
-//!   vocabulary, negotiated once per session ([`proto::PROTO_VERSION`]
-//!   in `Hello`) and composed from `dynamis-serve`'s value codec so
-//!   wire bytes match the serve layer's definitions exactly. Protocol
-//!   2 adds filtered subscriptions ([`proto::SubFilter`]) and the
+//!   vocabulary, checked once per session ([`proto::PROTO_VERSION`]
+//!   in `Hello`, exact match) and composed from `dynamis-serve`'s value
+//!   codec so wire bytes match the serve layer's definitions exactly,
+//!   with filtered subscriptions ([`proto::SubFilter`]) and the
 //!   snapshot cold-start handshake.
 //! - [`server`] — thread-per-connection sessions over one
 //!   [`server::NetBackend`], plus a pool of hub workers

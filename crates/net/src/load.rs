@@ -306,12 +306,10 @@ pub fn run(cfg: &LoadConfig) -> Result<LoadReport, NetError> {
     let mut probe = NetClient::connect(&cfg.addr)?;
     let drain_deadline = Instant::now() + Duration::from_secs(60);
     let head = loop {
-        let s = probe.stats()?;
-        if s.queue_depth == 0 {
-            break s.head_seq;
-        }
-        if Instant::now() > drain_deadline {
-            break s.head_seq;
+        let m = probe.metrics()?;
+        let head = m.gauge("serve_head_seq").unwrap_or(0);
+        if m.gauge("serve_queue_depth") == Some(0) || Instant::now() > drain_deadline {
+            break head;
         }
         thread::sleep(Duration::from_millis(2));
     };

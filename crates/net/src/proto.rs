@@ -1,32 +1,29 @@
 //! The request/response vocabulary: one typed enum per direction, each
 //! message encoded as one frame payload with a leading codec version
 //! word ([`wire::WIRE_VERSION`]). Value-level encodings (updates,
-//! deltas, errors, stats) come from `dynamis-serve`'s [`wire`] codec,
-//! so the bytes a subscription pushes are exactly the bytes the serve
-//! layer defines.
+//! deltas, errors, metrics snapshots) come from `dynamis-serve`'s
+//! [`wire`] codec, so the bytes a subscription pushes are exactly the
+//! bytes the serve layer defines.
 //!
 //! The *protocol* version ([`PROTO_VERSION`]) rides only in the
-//! `Hello` exchange: it gates which messages a peer may use (filtered
-//! subscriptions and snapshot bootstrap need version ≥ 2), while the
-//! per-message word stays at the codec version so version-1 and
-//! version-2 peers parse each other's shared messages byte-for-byte.
-//! `Subscribe`'s filter is an *optional trailing* field for the same
-//! reason: a version-1 client's filterless encoding still decodes.
+//! `Hello` exchange, and a session proceeds only when both peers speak
+//! exactly the same one; the per-message word is the codec version.
+//! `Subscribe`'s filter is an *optional trailing* field: the whole
+//! vertex space is encoded as absence, so the common unfiltered
+//! subscription carries no filter bytes at all.
 
 use crate::error::NetError;
 use dynamis_core::{EngineError, SolutionDelta};
 use dynamis_graph::Update;
 use dynamis_obs::MetricsSnapshot;
 use dynamis_serve::wire::{self, Reader, WireError};
-use dynamis_serve::ServiceStats;
 
 /// Protocol version spoken by this build. A connection starts with a
 /// [`Request::Hello`] carrying the client's version; the server answers
-/// with its own, and the session proceeds iff the client's version is
-/// not newer than the server's. Version 2 added filtered subscriptions
-/// and the snapshot bootstrap; a version-2 client talking to a
-/// version-1 server refuses those features locally, typed.
-pub const PROTO_VERSION: u16 = 2;
+/// with its own iff the two are equal, and refuses any other version
+/// with [`ERR_VERSION`]. Version 3 removed the `Stats` message (tag 7):
+/// [`Request::Metrics`] is the one telemetry call.
+pub const PROTO_VERSION: u16 = 3;
 
 /// What subset of the vertex space a subscription streams. The hub
 /// masks every delta against the filter before writing it, drops
@@ -37,7 +34,7 @@ pub const PROTO_VERSION: u16 = 2;
 /// vertex.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SubFilter {
-    /// The whole vertex space (the only filter a version-1 peer knows).
+    /// The whole vertex space (encoded as an absent filter).
     #[default]
     All,
     /// The half-open vertex-id range `lo..hi`.
@@ -136,8 +133,6 @@ pub enum Request {
     Len,
     /// Full solution membership plus the sequence number it reflects.
     Snapshot,
-    /// Service counter snapshot (includes the net layer's counters).
-    Stats,
     /// Convert this session into a subscription stream delivering every
     /// sequenced delta after `after_seq`. Answered with
     /// [`Response::Subscribed`], after which the server pushes
@@ -148,16 +143,16 @@ pub enum Request {
         /// a fresh mirror).
         after_seq: u64,
         /// Vertex subset to stream (encoded as an optional trailing
-        /// field: [`SubFilter::All`] is written as absence, so
-        /// version-1 peers interoperate unchanged).
+        /// field: [`SubFilter::All`] is written as absence).
         filter: SubFilter,
     },
     /// Liveness probe; answered with [`Response::Pong`].
     Ping,
-    /// Telemetry snapshot of the process-global metrics registry;
-    /// answered with [`Response::Metrics`].
+    /// Telemetry snapshot of the served stack — the process-global
+    /// registry merged with the service's own; answered with
+    /// [`Response::Metrics`].
     Metrics,
-    /// Snapshot cold-start (protocol ≥ 2): stream the server's base
+    /// Snapshot cold-start: stream the server's base
     /// checkpoint — the newest durable checkpoint after a recovered
     /// restart — so a fresh mirror seeds at its sequence number instead
     /// of replaying from 0. Answered with one
@@ -195,8 +190,6 @@ pub enum Response {
         /// Sorted solution membership.
         solution: Vec<u32>,
     },
-    /// Answer to [`Request::Stats`].
-    Stats(Box<ServiceStats>),
     /// Admission control shed the request (or, at the door, the whole
     /// session). The client should back off and retry.
     Busy {
@@ -279,8 +272,7 @@ pub const ERR_ORDER: u16 = 5;
 
 /// Encodes one request as a frame payload. The leading word is the
 /// *codec* version ([`wire::WIRE_VERSION`]), not [`PROTO_VERSION`]:
-/// protocol capability is negotiated once in `Hello`, and shared
-/// messages stay byte-identical across protocol versions.
+/// the protocol version is checked once, in `Hello`.
 pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
     out.clear();
     wire::put_u16(out, wire::WIRE_VERSION);
@@ -306,12 +298,10 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
         }
         Request::Len => out.push(5),
         Request::Snapshot => out.push(6),
-        Request::Stats => out.push(7),
         Request::Subscribe { after_seq, filter } => {
             out.push(8);
             wire::put_u64(out, *after_seq);
-            // Optional trailing field: All is written as absence, so
-            // this encoding is byte-identical to protocol version 1's.
+            // Optional trailing field: All is written as absence.
             match filter {
                 SubFilter::All => {}
                 SubFilter::VertexRange { lo, hi } => {
@@ -387,7 +377,6 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, WireError> {
         4 => Request::Contains(r.take_u32("contains vertex")?),
         5 => Request::Len,
         6 => Request::Snapshot,
-        7 => Request::Stats,
         8 => Request::Subscribe {
             after_seq: r.take_u64("subscribe seq")?,
             filter: take_sub_filter(&mut r)?,
@@ -440,10 +429,6 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
             out.push(6);
             wire::put_u64(out, *seq);
             wire::put_u32s(out, solution);
-        }
-        Response::Stats(s) => {
-            out.push(7);
-            wire::encode_stats_body(s, out);
         }
         Response::Busy { queue_depth } => {
             out.push(8);
@@ -518,7 +503,6 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, WireError> {
             seq: r.take_u64("snapshot seq")?,
             solution: r.take_u32s("snapshot members")?,
         },
-        7 => Response::Stats(Box::new(wire::take_stats(&mut r)?)),
         8 => Response::Busy {
             queue_depth: r.take_u64("busy depth")?,
         },
@@ -604,8 +588,8 @@ mod tests {
 
     #[test]
     fn legacy_filterless_subscribe_decodes_as_all() {
-        // A version-1 client encodes Subscribe as exactly codec word,
-        // tag 8, after_seq — no trailing filter bytes.
+        // A Subscribe of exactly codec word, tag 8, after_seq — no
+        // trailing filter bytes — streams the whole vertex space.
         let mut buf = Vec::new();
         wire::put_u16(&mut buf, wire::WIRE_VERSION);
         buf.push(8);
@@ -621,6 +605,8 @@ mod tests {
 
     #[test]
     fn all_filter_encodes_byte_identically_to_legacy() {
+        // The whole-space filter is written as absence: no filter
+        // bytes follow after_seq.
         let mut buf = Vec::new();
         encode_request(
             &Request::Subscribe {

@@ -50,15 +50,14 @@ use crate::proto::{
     ERR_SHUTDOWN, ERR_VERSION, PROTO_VERSION,
 };
 use dynamis_core::SolutionDelta;
-use dynamis_obs::{Gauge, Stage};
+use dynamis_obs::{Counter, Gauge, MetricsRegistry, Stage};
 use dynamis_serve::{
-    IngestHandle, LogTail, ReaderHandle, SeqEntry, ServeError, ServiceHandle, ServiceStats,
-    SharedLog,
+    IngestHandle, LogTail, ReaderHandle, SeqEntry, ServeError, ServiceHandle, SharedLog,
 };
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -145,18 +144,13 @@ impl NetBackend {
     }
 }
 
-/// Net-layer counters, overlaid onto [`ServiceStats`] snapshots.
-#[derive(Debug, Default)]
-struct NetCounters {
-    connections: AtomicU64,
-    sessions: AtomicI64,
-    subscriptions: AtomicI64,
-}
-
 /// Cached telemetry handles for the net layer: one latency stage per
-/// request type (gated timers — see [`dynamis_obs::Stage`]), the hub's
-/// encode/write stages, and the fan-out lag gauges the hub workers
-/// refresh each progressing round.
+/// request type (gated timers — see [`dynamis_obs::Stage`]) and the
+/// hub's encode/write stages, all process-global; plus the `net_*`
+/// series, registered in the fronted service's own registry: the
+/// connection counter, the live session and subscription gauges, and
+/// the fan-out lag gauges the hub workers refresh each progressing
+/// round.
 struct NetObs {
     req_hello: Stage,
     req_apply: Stage,
@@ -164,20 +158,24 @@ struct NetObs {
     req_contains: Stage,
     req_len: Stage,
     req_snapshot: Stage,
-    req_stats: Stage,
     req_subscribe: Stage,
     req_ping: Stage,
     req_metrics: Stage,
     req_bootstrap: Stage,
     hub_encode: Stage,
     sub_write: Stage,
+    /// The service registry, where the per-subscriber lag gauges come
+    /// and go.
+    registry: Arc<MetricsRegistry>,
+    connections: Arc<Counter>,
+    sessions: Arc<Gauge>,
+    subscriptions: Arc<Gauge>,
     lag_max: Arc<Gauge>,
     lag_mean: Arc<Gauge>,
 }
 
 impl NetObs {
-    fn new() -> NetObs {
-        let g = dynamis_obs::global();
+    fn new(registry: &Arc<MetricsRegistry>) -> NetObs {
         NetObs {
             req_hello: Stage::global("net_req_hello_ns"),
             req_apply: Stage::global("net_req_apply_ns"),
@@ -185,15 +183,18 @@ impl NetObs {
             req_contains: Stage::global("net_req_contains_ns"),
             req_len: Stage::global("net_req_len_ns"),
             req_snapshot: Stage::global("net_req_snapshot_ns"),
-            req_stats: Stage::global("net_req_stats_ns"),
             req_subscribe: Stage::global("net_req_subscribe_ns"),
             req_ping: Stage::global("net_req_ping_ns"),
             req_metrics: Stage::global("net_req_metrics_ns"),
             req_bootstrap: Stage::global("net_req_bootstrap_ns"),
             hub_encode: Stage::global("net_hub_encode_ns"),
             sub_write: Stage::global("net_sub_write_ns"),
-            lag_max: g.gauge("net_sub_lag_max"),
-            lag_mean: g.gauge("net_sub_lag_mean"),
+            connections: registry.counter("net_connections_total"),
+            sessions: registry.gauge("net_sessions"),
+            subscriptions: registry.gauge("net_subscriptions"),
+            lag_max: registry.gauge("net_sub_lag_max"),
+            lag_mean: registry.gauge("net_sub_lag_mean"),
+            registry: Arc::clone(registry),
         }
     }
 
@@ -206,7 +207,6 @@ impl NetObs {
             Request::Contains(_) => &self.req_contains,
             Request::Len => &self.req_len,
             Request::Snapshot => &self.req_snapshot,
-            Request::Stats => &self.req_stats,
             Request::Subscribe { .. } => &self.req_subscribe,
             Request::Ping => &self.req_ping,
             Request::Metrics => &self.req_metrics,
@@ -260,7 +260,7 @@ impl FrameCache {
     }
 }
 
-/// Per-hub-worker fan-out lag aggregate, folded into the global
+/// Per-hub-worker fan-out lag aggregate, folded into the
 /// `net_sub_lag_max` / `net_sub_lag_mean` gauges after each refresh.
 #[derive(Default)]
 struct HubLag {
@@ -274,7 +274,6 @@ struct Shared {
     log: Arc<SharedLog>,
     reader: Mutex<ReaderHandle>,
     admission: Admission,
-    counters: NetCounters,
     obs: NetObs,
     cfg: NetConfig,
     stop: AtomicBool,
@@ -282,25 +281,15 @@ struct Shared {
     hub_lag: Vec<HubLag>,
     /// Round-robin cursor for assigning new subscribers to hub workers.
     rr: AtomicUsize,
-    /// Process-wide subscriber id source: ids name the per-subscriber
-    /// lag gauges, so they must be unique *across* hub workers.
-    next_sub_id: AtomicU64,
 }
 
-impl Shared {
-    /// Service stats with the net layer's counters filled in.
-    fn stats(&self) -> ServiceStats {
-        let mut s = self.ingest.stats();
-        s.connections = self.counters.connections.load(Ordering::Relaxed);
-        s.sessions = self.counters.sessions.load(Ordering::Relaxed).max(0) as u64;
-        s.subscriptions = self.counters.subscriptions.load(Ordering::Relaxed).max(0) as u64;
-        s.shed = self.admission.shed_count();
-        s.max_sub_lag = self.obs.lag_max.get();
-        s.mean_sub_lag = self.obs.lag_mean.get();
-        s
-    }
+/// Process-wide subscriber id source: ids name the per-subscriber lag
+/// gauges, so they stay unique across hub workers and across servers
+/// fronting the same service.
+static NEXT_SUB_ID: AtomicU64 = AtomicU64::new(0);
 
-    /// Folds every worker's lag slot into the global gauges.
+impl Shared {
+    /// Folds every worker's lag slot into the aggregate gauges.
     fn refresh_lag_gauges(&self) {
         let mut max = 0u64;
         let mut sum = 0u64;
@@ -330,26 +319,31 @@ struct Sub {
     lag: Option<SubLag>,
 }
 
-/// A registered `net_sub_lag_<id>` gauge. Registered at hub install,
-/// unregistered on drop, so the registry tracks *live* subscribers —
-/// every drop path (write failure, timeout drop, shutdown flush)
-/// releases the gauge through this destructor.
+/// A registered `net_sub_lag_<id>` gauge in the service registry.
+/// Registered at hub install, unregistered on drop, so the registry
+/// tracks *live* subscribers — every drop path (write failure, timeout
+/// drop, shutdown flush) releases the gauge through this destructor.
 struct SubLag {
     name: String,
     gauge: Arc<Gauge>,
+    registry: Arc<MetricsRegistry>,
 }
 
 impl SubLag {
-    fn new(id: u64) -> SubLag {
+    fn new(id: u64, registry: &Arc<MetricsRegistry>) -> SubLag {
         let name = format!("net_sub_lag_{id}");
-        let gauge = dynamis_obs::global().gauge(&name);
-        SubLag { name, gauge }
+        let gauge = registry.gauge(&name);
+        SubLag {
+            name,
+            gauge,
+            registry: Arc::clone(registry),
+        }
     }
 }
 
 impl Drop for SubLag {
     fn drop(&mut self) {
-        dynamis_obs::global().unregister(&self.name);
+        self.registry.unregister(&self.name);
     }
 }
 
@@ -370,19 +364,18 @@ impl NetServer {
         let local_addr = listener.local_addr()?;
         let hubs_n = cfg.hubs.max(1);
         let window = backend.log.window();
+        let registry = backend.ingest.registry();
         let shared = Arc::new(Shared {
+            admission: Admission::new(cfg.shed_high, cfg.shed_low, registry),
+            obs: NetObs::new(registry),
             ingest: backend.ingest,
             log: backend.log,
             reader: Mutex::new(backend.reader),
-            admission: Admission::new(cfg.shed_high, cfg.shed_low),
-            counters: NetCounters::default(),
-            obs: NetObs::new(),
             cfg,
             stop: AtomicBool::new(false),
             frames: FrameCache::new(window),
             hub_lag: (0..hubs_n).map(|_| HubLag::default()).collect(),
             rr: AtomicUsize::new(0),
-            next_sub_id: AtomicU64::new(0),
         });
         let mut sub_txs = Vec::with_capacity(hubs_n);
         let mut hubs = Vec::with_capacity(hubs_n);
@@ -427,12 +420,6 @@ impl NetServerHandle {
         self.local_addr
     }
 
-    /// Service stats with the net layer's counters filled in — the
-    /// same snapshot a remote `Stats` request receives.
-    pub fn stats(&self) -> ServiceStats {
-        self.shared.stats()
-    }
-
     /// Stops accepting, drains every session, flushes subscribers to
     /// the current log head (bounded by the flush timeout), and joins
     /// all serving threads. The backing service is untouched — shut it
@@ -465,7 +452,7 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, sub_txs: Vec<mpsc::S
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
-        shared.counters.connections.fetch_add(1, Ordering::Relaxed);
+        shared.obs.connections.inc();
         sessions.retain(|j| !j.is_finished());
         if sessions.len() >= shared.cfg.max_sessions {
             // Admission control at the door: refuse the whole session
@@ -516,7 +503,7 @@ fn send(stream: &mut TcpStream, resp: &Response, payload: &mut Vec<u8>, out: &mu
 }
 
 fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>, sub_txs: Vec<mpsc::Sender<Sub>>) {
-    shared.counters.sessions.fetch_add(1, Ordering::Relaxed);
+    shared.obs.sessions.add(1);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.cfg.poll.max(Duration::from_millis(20))));
     let mut fb = FrameBuffer::new();
@@ -564,7 +551,7 @@ fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>, sub_txs: Vec<mpsc::
             let t_req = req_stage.begin();
             if !hello_done {
                 match req {
-                    Request::Hello { version } if version <= PROTO_VERSION => {
+                    Request::Hello { version } if version == PROTO_VERSION => {
                         hello_done = true;
                         let ok = send(
                             &mut stream,
@@ -667,7 +654,6 @@ fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>, sub_txs: Vec<mpsc::
                         solution,
                     }
                 }
-                Request::Stats => Response::Stats(Box::new(shared.stats())),
                 Request::Subscribe { after_seq, filter } => {
                     let ok = send(
                         &mut stream,
@@ -682,10 +668,7 @@ fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>, sub_txs: Vec<mpsc::
                         // round-robin) owns the socket from here; this
                         // session thread ends.
                         let _ = stream.set_read_timeout(None);
-                        shared
-                            .counters
-                            .subscriptions
-                            .fetch_add(1, Ordering::Relaxed);
+                        shared.obs.subscriptions.add(1);
                         let hub = shared.rr.fetch_add(1, Ordering::Relaxed) % sub_txs.len();
                         if sub_txs[hub]
                             .send(Sub {
@@ -697,18 +680,15 @@ fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>, sub_txs: Vec<mpsc::
                             })
                             .is_err()
                         {
-                            shared
-                                .counters
-                                .subscriptions
-                                .fetch_sub(1, Ordering::Relaxed);
+                            shared.obs.subscriptions.sub(1);
                         }
                     }
-                    shared.counters.sessions.fetch_sub(1, Ordering::Relaxed);
+                    shared.obs.sessions.sub(1);
                     shared.obs.req_subscribe.end(t_req);
                     return;
                 }
                 Request::Ping => Response::Pong,
-                Request::Metrics => Response::Metrics(Box::new(dynamis_obs::global().snapshot())),
+                Request::Metrics => Response::Metrics(Box::new(shared.ingest.metrics())),
                 Request::Bootstrap => {
                     // Multi-frame answer: meta, then length-capped
                     // membership chunks; afterwards the session stays
@@ -741,7 +721,7 @@ fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>, sub_txs: Vec<mpsc::
             Err(_) => break,
         }
     }
-    shared.counters.sessions.fetch_sub(1, Ordering::Relaxed);
+    shared.obs.sessions.sub(1);
 }
 
 /// Streams the log's base checkpoint (the newest durable checkpoint
@@ -827,8 +807,8 @@ fn mask_delta(delta: &SolutionDelta, filter: SubFilter) -> SolutionDelta {
 fn install_sub(shared: &Shared, mut sub: Sub) -> Sub {
     let _ = sub.stream.set_nodelay(true);
     let _ = sub.stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    let id = shared.next_sub_id.fetch_add(1, Ordering::Relaxed) + 1;
-    sub.lag = Some(SubLag::new(id));
+    let id = NEXT_SUB_ID.fetch_add(1, Ordering::Relaxed) + 1;
+    sub.lag = Some(SubLag::new(id, &shared.obs.registry));
     sub
 }
 
@@ -893,10 +873,7 @@ fn hub_loop(shared: &Arc<Shared>, sub_rx: mpsc::Receiver<Sub>, hub_idx: usize) {
                 let wrote = sub.stream.write_all(&blob);
                 shared.obs.sub_write.end(t);
                 if wrote.is_err() {
-                    shared
-                        .counters
-                        .subscriptions
-                        .fetch_sub(1, Ordering::Relaxed);
+                    shared.obs.subscriptions.sub(1);
                     return false;
                 }
                 sub.seq = hub_seq;
@@ -914,10 +891,7 @@ fn hub_loop(shared: &Arc<Shared>, sub_rx: mpsc::Receiver<Sub>, hub_idx: usize) {
                     true
                 }
                 Err(()) => {
-                    shared
-                        .counters
-                        .subscriptions
-                        .fetch_sub(1, Ordering::Relaxed);
+                    shared.obs.subscriptions.sub(1);
                     false
                 }
             }
@@ -956,20 +930,13 @@ fn hub_loop(shared: &Arc<Shared>, sub_rx: mpsc::Receiver<Sub>, hub_idx: usize) {
                     match advance_sub(shared, sub, &mut payload, &mut scratch) {
                         Ok(_) => true,
                         Err(()) => {
-                            shared
-                                .counters
-                                .subscriptions
-                                .fetch_sub(1, Ordering::Relaxed);
+                            shared.obs.subscriptions.sub(1);
                             false
                         }
                     }
                 });
             }
-            let n = subs.len() as i64;
-            shared
-                .counters
-                .subscriptions
-                .fetch_sub(n, Ordering::Relaxed);
+            shared.obs.subscriptions.sub(subs.len() as u64);
             let slot = &shared.hub_lag[hub_idx];
             slot.max.store(0, Ordering::Relaxed);
             slot.sum.store(0, Ordering::Relaxed);

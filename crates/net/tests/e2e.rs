@@ -48,6 +48,6 @@ fn loopback_load_run_loses_nothing_and_shuts_down_cleanly() {
     // Clean shutdown with everything still connected server-side.
     handle.shutdown();
     let final_report = service.shutdown();
-    assert_eq!(final_report.stats.queue_depth, 0);
+    assert_eq!(final_report.metrics.gauge("serve_queue_depth"), Some(0));
     assert_eq!(final_report.head_seq, report.final_head);
 }

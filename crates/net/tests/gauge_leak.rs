@@ -1,8 +1,8 @@
 //! Pin: a subscriber dropped for missing its write timeout must take
-//! its `net_sub_lag_<id>` gauge with it, on every drop path. The obs
-//! registry is process-global, so this test runs alone in its own
-//! integration-test binary — another test registering subscriber
-//! gauges concurrently would make the final sweep ambiguous.
+//! its `net_sub_lag_<id>` gauge with it, on every drop path. The
+//! per-subscriber gauges live in the fronted service's own registry,
+//! so the final sweep reads the server's `metrics()` — the global
+//! registry never holds them, and sweeping it would pass vacuously.
 
 use dynamis_core::EngineBuilder;
 use dynamis_gen::powerlaw::chung_lu;
@@ -44,15 +44,23 @@ fn write_timeout_drop_unregisters_the_subscriber_lag_gauge() {
     let mut writer = NetClient::connect(&addr).unwrap();
     let deadline = Instant::now() + Duration::from_secs(60);
     let mut insert = true;
-    loop {
-        let subs = writer.stats().unwrap().subscriptions;
-        if subs == 0 {
-            break;
+    for pump in 0u64.. {
+        // A full snapshot costs several pumps' worth of time in a debug
+        // build, so check the subscription count every 16th pump.
+        if pump % 16 == 0 {
+            let subs = writer
+                .metrics()
+                .unwrap()
+                .gauge("net_subscriptions")
+                .unwrap();
+            if subs == 0 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{subs} stuck subscribers were never dropped"
+            );
         }
-        assert!(
-            Instant::now() < deadline,
-            "{subs} stuck subscribers were never dropped"
-        );
         let batch: Vec<Update> = (0..128u32)
             .map(|i| {
                 if insert {
@@ -73,7 +81,7 @@ fn write_timeout_drop_unregisters_the_subscriber_lag_gauge() {
 
     // Every per-subscriber gauge must be gone; only the aggregate
     // `net_sub_lag_max` / `net_sub_lag_mean` gauges may remain.
-    let snap = dynamis_obs::global().snapshot();
+    let snap = writer.metrics().unwrap();
     let leaked: Vec<_> = snap
         .gauges
         .iter()

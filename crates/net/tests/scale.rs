@@ -59,9 +59,9 @@ fn drain_filtered(
 fn drained_head(client: &mut NetClient) -> u64 {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let s = client.stats().unwrap();
-        if s.queue_depth == 0 {
-            return s.head_seq;
+        let m = client.metrics().unwrap();
+        if m.gauge("serve_queue_depth") == Some(0) {
+            return m.gauge("serve_head_seq").unwrap();
         }
         assert!(Instant::now() < deadline, "queue never drained");
         std::thread::sleep(Duration::from_millis(2));

@@ -10,6 +10,7 @@ use dynamis_graph::{DynamicGraph, Update};
 use dynamis_net::frame::{read_frame, write_frame};
 use dynamis_net::proto::{
     decode_response, encode_request, Request, Response, ERR_MALFORMED, ERR_ORDER, ERR_VERSION,
+    PROTO_VERSION,
 };
 use dynamis_net::{NetBackend, NetClient, NetConfig, NetError, NetServer, NetServerHandle};
 use dynamis_serve::{MisService, ReaderHandle, ServeConfig, ServiceHandle};
@@ -106,15 +107,18 @@ fn newer_client_version_is_refused() {
     let g = DynamicGraph::from_edges(3, &[(0, 1)]);
     let (handle, service, _reader, addr) = serve(g, NetConfig::default());
 
-    let mut stream = TcpStream::connect(&addr).unwrap();
-    let mut payload = Vec::new();
-    encode_request(&Request::Hello { version: u16::MAX }, &mut payload);
-    write_frame(&mut stream, &payload).unwrap();
-    let mut reply = Vec::new();
-    assert!(read_frame(&mut stream, &mut reply).unwrap());
-    match decode_response(&reply).unwrap() {
-        Response::Error { code, .. } => assert_eq!(code, ERR_VERSION),
-        other => panic!("expected a version error, got {other:?}"),
+    // The handshake is exact: newer and older clients are both refused.
+    for version in [u16::MAX, PROTO_VERSION - 1] {
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        let mut payload = Vec::new();
+        encode_request(&Request::Hello { version }, &mut payload);
+        write_frame(&mut stream, &payload).unwrap();
+        let mut reply = Vec::new();
+        assert!(read_frame(&mut stream, &mut reply).unwrap());
+        match decode_response(&reply).unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, ERR_VERSION, "version {version}"),
+            other => panic!("expected a version error for {version}, got {other:?}"),
+        }
     }
 
     handle.shutdown();
@@ -167,9 +171,12 @@ fn session_cap_refuses_with_busy_and_counts_the_shed() {
         Err(e) => panic!("expected Busy at the session cap, got {e}"),
         Ok(_) => panic!("expected Busy at the session cap, got a session"),
     }
-    let stats = handle.stats();
-    assert_eq!(stats.sessions, 1);
-    assert!(stats.shed >= 1, "door refusal must count as shed");
+    let m = service.metrics();
+    assert_eq!(m.gauge("net_sessions"), Some(1));
+    assert!(
+        m.counter("net_shed_total") >= Some(1),
+        "door refusal must count as shed"
+    );
 
     handle.shutdown();
     service.shutdown();
@@ -228,11 +235,50 @@ fn stats_are_served_over_the_wire_with_net_counters() {
     let mut a = NetClient::connect(&addr).unwrap();
     let _b = NetClient::connect(&addr).unwrap();
     a.apply(Update::InsertEdge(0, 2)).unwrap();
-    let stats = a.stats().unwrap();
-    assert!(stats.connections >= 2);
-    assert_eq!(stats.sessions, 2);
-    assert_eq!(stats.applied, 1);
-    assert_eq!(stats.subscriptions, 0);
+    let m = a.metrics().unwrap();
+    assert!(m.counter("net_connections_total") >= Some(2));
+    assert_eq!(m.gauge("net_sessions"), Some(2));
+    assert_eq!(m.counter("serve_applied_total"), Some(1));
+    assert_eq!(m.gauge("net_subscriptions"), Some(0));
+
+    handle.shutdown();
+    service.shutdown();
+}
+
+/// One schema, one source per series: after real traffic through a
+/// server (a subscription, a batch, a query), no series name
+/// is in both the process-global registry and the service's own.
+#[test]
+fn service_series_never_shadow_global_ones() {
+    let g = chung_lu(300, 2.4, 6.0, 13);
+    let ups = UpdateStream::new(&g, StreamConfig::default(), 5).take_updates(100);
+    let (handle, service, _reader, addr) = serve(g, NetConfig::default());
+    let _sub = NetClient::connect(&addr).unwrap().subscribe(0).unwrap();
+    let mut client = NetClient::connect(&addr).unwrap();
+    client.apply_batch(ups).unwrap();
+    client.contains(0).unwrap();
+    let over_wire = client.metrics().unwrap();
+
+    let global = dynamis_obs::global().snapshot();
+    let own = service.ingest().registry().snapshot();
+    let names = |m: &dynamis_obs::MetricsSnapshot| -> Vec<String> {
+        let c = m.counters.iter().map(|(n, _)| n.clone());
+        let g = m.gauges.iter().map(|(n, _)| n.clone());
+        c.chain(g)
+            .chain(m.histograms.iter().map(|(n, _)| n.clone()))
+            .collect()
+    };
+    let global_names = names(&global);
+    let shared: Vec<_> = names(&own)
+        .into_iter()
+        .filter(|n| global_names.contains(n))
+        .collect();
+    assert!(shared.is_empty(), "series in both registries: {shared:?}");
+    assert!(own.gauge("net_subscriptions").is_some());
+    assert!(global.histogram("net_req_apply_batch_ns").is_some());
+    // The wire answer carries both halves.
+    assert_eq!(over_wire.counter("serve_submitted_total"), Some(100));
+    assert!(over_wire.histogram("net_req_apply_batch_ns").is_some());
 
     handle.shutdown();
     service.shutdown();

@@ -54,6 +54,20 @@ impl Gauge {
         self.0.fetch_max(v, Ordering::Relaxed);
     }
 
+    /// Adds `n` — for gauges that *are* a live count (queue depth,
+    /// sessions), so nothing is mirrored into them.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Subtracts `n`; every call must pair with an earlier
+    /// [`Gauge::add`] of at least `n`.
+    #[inline]
+    pub fn sub(&self, n: u64) {
+        self.0.fetch_sub(n, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)

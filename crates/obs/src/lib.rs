@@ -1,10 +1,15 @@
 //! Unified telemetry for the dynamis serving stack.
 //!
 //! Every layer of the system — the core engine, the single-writer
-//! service, the write-ahead log, and the network front end —
-//! records into one process-global [`MetricsRegistry`] of cheap atomic
-//! [`Counter`]s, [`Gauge`]s, and log-bucketed [`Histogram`]s. Recording
-//! is lock-free (one or a few relaxed atomic RMWs) and never blocks the
+//! service, the write-ahead log, and the network front end — records
+//! into a [`MetricsRegistry`] of cheap atomic [`Counter`]s, [`Gauge`]s,
+//! and log-bucketed [`Histogram`]s. Process-wide series (every stage
+//! timer, the `core_*` and `durable_*` series) live in the global
+//! registry ([`global`]); each running service owns a private registry
+//! for its `serve_*` and `net_*` series, so several services in one
+//! process never share a count. A service's snapshot is the global one
+//! merged with its own, and no name lives in both. Recording is
+//! lock-free (one or a few relaxed atomic RMWs) and never blocks the
 //! hot path; registration (name → handle) takes a mutex but happens
 //! once per call site, after which the caller caches the `Arc` handle.
 //!
@@ -24,9 +29,9 @@
 //!    `try_lock` and counts drops instead of waiting.
 //!
 //! A [`MetricsSnapshot`] is the single export schema: the in-process
-//! API ([`MetricsRegistry::snapshot`]), the `Response::Metrics` wire
-//! call, and the Prometheus/JSON text encoders all produce exactly the
-//! same structure, pinned by round-trip tests.
+//! API ([`MetricsRegistry::snapshot`], a service's `metrics()`), the
+//! `Response::Metrics` wire call, and the Prometheus/JSON text encoders
+//! all produce exactly the same structure, pinned by round-trip tests.
 
 mod events;
 mod hist;
@@ -72,7 +77,9 @@ pub fn mark() -> Option<Instant> {
 
 static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
 
-/// The process-global registry every layer records into.
+/// The process-global registry: stage timers and the `core_*` /
+/// `durable_*` series. Per-service series live in each service's own
+/// registry instead.
 pub fn global() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::new)
 }

@@ -28,9 +28,10 @@ impl Metric {
     }
 }
 
-/// A registry of named metrics plus one event ring. Most code uses the
-/// process-global one via [`crate::global`]; benches and tests may hold
-/// private registries.
+/// A registry of named metrics plus one event ring. Process-wide series
+/// live in the global one ([`crate::global`]); each serving stack holds
+/// a private one for its per-service series, and benches and tests may
+/// hold their own.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     metrics: Mutex<BTreeMap<String, Metric>>,
@@ -85,17 +86,6 @@ impl MetricsRegistry {
     fn entry(&self, name: &str, mk: impl FnOnce() -> Metric) -> Metric {
         let mut map = self.metrics.lock().unwrap();
         map.entry(name.to_string()).or_insert_with(mk).clone()
-    }
-
-    /// Exports an externally owned histogram under `name`, replacing
-    /// any previous metric with that name — for subsystems that own
-    /// their histogram instance (per-service isolation) but want it in
-    /// the registry's snapshot.
-    pub fn register_histogram(&self, name: &str, h: Arc<Histogram>) {
-        self.metrics
-            .lock()
-            .unwrap()
-            .insert(name.to_string(), Metric::Histogram(h));
     }
 
     /// Removes a metric (used for per-entity series — e.g. the

@@ -70,9 +70,9 @@
 
 mod error;
 mod log;
+mod metrics;
 mod reader;
 mod service;
-mod stats;
 pub mod wire;
 
 pub use error::ServeError;
@@ -81,4 +81,3 @@ pub use reader::ReaderHandle;
 pub use service::{
     BatchTicket, IngestHandle, MisService, ServeConfig, ServiceHandle, ServiceReport, Ticket,
 };
-pub use stats::{ServiceStats, HIST_BUCKETS};

@@ -2,7 +2,7 @@
 //! the broadcast delta log.
 
 use crate::log::{SeqEntry, SharedLog};
-use crate::stats::StatsShared;
+use crate::metrics::ServiceMetrics;
 use dynamis_core::{MirrorError, SolutionMirror};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,10 +43,10 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct ReaderHandle {
     log: Arc<SharedLog>,
-    stats: Arc<StatsShared>,
+    metrics: Arc<ServiceMetrics>,
     mirror: SolutionMirror,
     seq: u64,
-    /// Last-synced seq, shared with [`StatsShared`] for lag reporting.
+    /// Last-synced seq, read at snapshot time for the reader-lag gauge.
     slot: Arc<AtomicU64>,
     /// Reusable catch-up buffer (no steady-state allocation).
     scratch: Vec<Arc<SeqEntry>>,
@@ -54,11 +54,11 @@ pub struct ReaderHandle {
 }
 
 impl ReaderHandle {
-    pub(crate) fn new(log: Arc<SharedLog>, stats: Arc<StatsShared>) -> Self {
-        let slot = stats.register_reader(0);
+    pub(crate) fn new(log: Arc<SharedLog>, metrics: Arc<ServiceMetrics>) -> Self {
+        let slot = metrics.register_reader(0);
         ReaderHandle {
             log,
-            stats,
+            metrics,
             mirror: SolutionMirror::new(),
             seq: 0,
             slot,
@@ -75,10 +75,10 @@ impl ReaderHandle {
             .catch_up(&mut self.mirror, self.seq, &mut self.scratch);
         self.seq = r.seq;
         if r.resynced {
-            self.stats.resyncs.fetch_add(1, Ordering::Relaxed);
+            self.metrics.resyncs.inc();
         }
         if let Some(err) = r.desync {
-            self.stats.desyncs.fetch_add(1, Ordering::Relaxed);
+            self.metrics.desyncs.inc();
             self.last_desync = Some(err);
         }
         self.slot.store(self.seq, Ordering::Relaxed);
@@ -127,10 +127,10 @@ impl ReaderHandle {
     pub fn fork(&self) -> ReaderHandle {
         ReaderHandle {
             log: Arc::clone(&self.log),
-            stats: Arc::clone(&self.stats),
+            metrics: Arc::clone(&self.metrics),
             mirror: self.mirror.clone(),
             seq: self.seq,
-            slot: self.stats.register_reader(self.seq),
+            slot: self.metrics.register_reader(self.seq),
             scratch: Vec::new(),
             last_desync: None,
         }

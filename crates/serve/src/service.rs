@@ -3,12 +3,11 @@
 
 use crate::error::ServeError;
 use crate::log::SharedLog;
+use crate::metrics::ServiceMetrics;
 use crate::reader::ReaderHandle;
-use crate::stats::{ServiceStats, StatsShared};
 use dynamis_core::{DynamicMis, EngineBuilder, EngineError};
 use dynamis_graph::Update;
-use dynamis_obs::{Counter, Gauge, Stage};
-use std::sync::atomic::Ordering;
+use dynamis_obs::{MetricsRegistry, MetricsSnapshot};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
@@ -173,8 +172,9 @@ pub struct ServiceReport {
     pub solution: Vec<u32>,
     /// Final head of the broadcast log.
     pub head_seq: u64,
-    /// Final counter snapshot.
-    pub stats: ServiceStats,
+    /// Final telemetry snapshot — the same view as
+    /// [`ServiceHandle::metrics`].
+    pub metrics: MetricsSnapshot,
 }
 
 /// Receipt for a single-update submission.
@@ -225,7 +225,7 @@ impl BatchTicket {
 pub struct IngestHandle {
     tx: mpsc::Sender<Cmd>,
     bp: Arc<Backpressure>,
-    stats: Arc<StatsShared>,
+    metrics: Arc<ServiceMetrics>,
 }
 
 impl IngestHandle {
@@ -239,19 +239,20 @@ impl IngestHandle {
         } else {
             (None, None)
         };
-        self.stats.submitted.fetch_add(n, Ordering::Relaxed);
-        self.stats.queued.fetch_add(n as i64, Ordering::Relaxed);
+        self.metrics.queue_depth.add(n);
         let queued_at = dynamis_obs::mark();
         match self.tx.send(Cmd {
             payload,
             reply,
             queued_at,
         }) {
-            Ok(()) => Ok(rx),
+            Ok(()) => {
+                self.metrics.submitted.add(n);
+                Ok(rx)
+            }
             Err(_) => {
                 self.bp.release(weight);
-                self.stats.submitted.fetch_sub(n, Ordering::Relaxed);
-                self.stats.queued.fetch_sub(n as i64, Ordering::Relaxed);
+                self.metrics.queue_depth.sub(n);
                 Err(ServeError::Stopped)
             }
         }
@@ -272,7 +273,7 @@ impl IngestHandle {
     }
 
     /// Fire-and-forget single update (no ticket allocated; rejections
-    /// are only visible in [`ServiceStats::rejected`]).
+    /// are only visible in the `serve_rejected_total` counter).
     pub fn submit_detached(&self, update: Update) -> Result<(), ServeError> {
         self.send(Payload::One(update), false, true).map(|_| ())
     }
@@ -284,25 +285,31 @@ impl IngestHandle {
             .map(|rx| BatchTicket { rx: rx.unwrap() })
     }
 
-    /// Point-in-time counter snapshot — same view as
-    /// [`ServiceHandle::stats`], available to feeder threads that only
+    /// Point-in-time telemetry snapshot — same view as
+    /// [`ServiceHandle::metrics`], available to feeder threads that only
     /// hold an ingest handle (the network front end's session threads).
-    pub fn stats(&self) -> ServiceStats {
-        self.stats.snapshot()
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.metrics.snapshot()
+    }
+
+    /// The service's private registry, where a front end registers its
+    /// own per-service series so they land in [`IngestHandle::metrics`].
+    pub fn registry(&self) -> &Arc<MetricsRegistry> {
+        self.metrics.registry()
     }
 
     /// Updates currently admitted into the queue and not yet applied —
     /// the signal admission control samples to shed clients *before*
     /// they hit the blocking backpressure gate.
     pub fn queue_depth(&self) -> u64 {
-        self.stats.queued.load(Ordering::Relaxed).max(0) as u64
+        self.metrics.queue_depth.get()
     }
 }
 
 type SendOutcome = Result<Option<mpsc::Receiver<Vec<Result<u64, EngineError>>>>, ServeError>;
 
 /// The owning handle of a running service: submits updates, creates
-/// readers, reads stats, and shuts the service down.
+/// readers, reads metrics, and shuts the service down.
 ///
 /// Dropping the handle without calling [`ServiceHandle::shutdown`]
 /// detaches the writer thread: it still flushes the queue and exits
@@ -312,7 +319,6 @@ pub struct ServiceHandle {
     ingest: IngestHandle,
     join: JoinHandle<ServiceReport>,
     log: Arc<SharedLog>,
-    stats: Arc<StatsShared>,
 }
 
 impl ServiceHandle {
@@ -345,12 +351,15 @@ impl ServiceHandle {
     /// including the bootstrap delta, so it reconstructs the engine's
     /// current solution without ever materializing it from the engine.
     pub fn reader(&self) -> ReaderHandle {
-        ReaderHandle::new(Arc::clone(&self.log), Arc::clone(&self.stats))
+        ReaderHandle::new(Arc::clone(&self.log), Arc::clone(&self.ingest.metrics))
     }
 
-    /// Point-in-time counter snapshot.
-    pub fn stats(&self) -> ServiceStats {
-        self.stats.snapshot()
+    /// Point-in-time telemetry snapshot: the process-global registry
+    /// (stage timers, `core_*`, `durable_*`) merged with this service's
+    /// own registry (`serve_*`, plus the `net_*` series of a network
+    /// front end).
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.ingest.metrics()
     }
 
     /// The service's broadcast log — the sequenced delta stream a
@@ -371,7 +380,6 @@ impl ServiceHandle {
             ingest,
             join,
             log: _log,
-            stats: _stats,
         } = self;
         drop(ingest);
         join.join().expect("serve writer thread panicked")
@@ -426,10 +434,10 @@ impl MisService {
         let (tx, rx) = mpsc::channel();
         let bp = Arc::new(Backpressure::new(cfg.queue_updates));
         let log = Arc::new(SharedLog::new(cfg.log_window));
-        let stats = Arc::new(StatsShared::default());
+        let metrics = Arc::new(ServiceMetrics::new(Arc::clone(&log)));
         let burst = cfg.burst.max(1);
         let (ready_tx, ready_rx) = mpsc::channel();
-        let (wlog, wstats, wbp) = (Arc::clone(&log), Arc::clone(&stats), Arc::clone(&bp));
+        let (wlog, wmetrics, wbp) = (Arc::clone(&log), Arc::clone(&metrics), Arc::clone(&bp));
         let join = thread::Builder::new()
             .name("dynamis-serve-writer".into())
             .spawn(move || {
@@ -450,17 +458,16 @@ impl MisService {
                 if cfg.first_seq > 0 {
                     let _ = engine.drain_delta();
                     wlog.install_checkpoint(cfg.first_seq, &engine.solution());
-                    wstats.head_seq.store(cfg.first_seq, Ordering::Relaxed);
                 } else {
-                    publish(engine.drain_delta(), &wlog, &wstats);
+                    wlog.publish(engine.drain_delta());
                 }
                 let _ = ready_tx.send(Ok(()));
-                writer_loop(engine.as_mut(), rx, &wlog, &wstats, &wbp, burst);
+                writer_loop(engine.as_mut(), rx, &wlog, &wmetrics, &wbp, burst);
                 ServiceReport {
                     engine: engine.name().to_string(),
                     solution: engine.solution(),
                     head_seq: wlog.head(),
-                    stats: wstats.snapshot(),
+                    metrics: wmetrics.snapshot(),
                 }
             })
             .expect("failed to spawn serve writer thread");
@@ -473,49 +480,12 @@ impl MisService {
             Err(_) => panic!("serve writer thread died during engine construction"),
         }
         let handle = ServiceHandle {
-            ingest: IngestHandle {
-                tx,
-                bp,
-                stats: Arc::clone(&stats),
-            },
+            ingest: IngestHandle { tx, bp, metrics },
             join,
             log,
-            stats,
         };
         let reader = handle.reader();
         Ok((handle, reader))
-    }
-}
-
-/// The writer thread's cached telemetry handles: the four single-writer
-/// latency stages plus the registry-exported series. Built once per
-/// service, inside the writer thread.
-struct ServeObs {
-    ingest_wait: Stage,
-    batch_drain: Stage,
-    engine_apply: Stage,
-    delta_broadcast: Stage,
-    queue_depth: Arc<Gauge>,
-    applied: Arc<Counter>,
-    rejected: Arc<Counter>,
-}
-
-impl ServeObs {
-    fn new(stats: &StatsShared) -> ServeObs {
-        let g = dynamis_obs::global();
-        // The service owns its batch-size histogram (per-service
-        // isolation for `ServiceStats`); exporting the same instance
-        // puts the full-resolution distribution in the snapshot.
-        g.register_histogram("serve_batch_size", Arc::clone(&stats.batch_hist));
-        ServeObs {
-            ingest_wait: Stage::global("serve_ingest_wait_ns"),
-            batch_drain: Stage::global("serve_batch_drain_ns"),
-            engine_apply: Stage::global("serve_engine_apply_ns"),
-            delta_broadcast: Stage::global("serve_delta_broadcast_ns"),
-            queue_depth: g.gauge("serve_queue_depth"),
-            applied: g.counter("serve_applied_total"),
-            rejected: g.counter("serve_rejected_total"),
-        }
     }
 }
 
@@ -529,11 +499,10 @@ fn writer_loop(
     engine: &mut dyn DynamicMis,
     rx: mpsc::Receiver<Cmd>,
     log: &SharedLog,
-    stats: &StatsShared,
+    obs: &ServiceMetrics,
     bp: &Backpressure,
     burst: usize,
 ) {
-    let obs = ServeObs::new(stats);
     let mut round: Vec<Cmd> = Vec::new();
     let mut updates: Vec<Update> = Vec::new();
     let mut outcomes: Vec<Option<EngineError>> = Vec::new();
@@ -571,8 +540,7 @@ fn writer_loop(
             &mut outcomes,
             &mut ranges,
             log,
-            stats,
-            &obs,
+            obs,
         );
     }
 }
@@ -588,8 +556,7 @@ fn apply_round(
     outcomes: &mut Vec<Option<EngineError>>,
     ranges: &mut Vec<std::ops::Range<usize>>,
     log: &SharedLog,
-    stats: &StatsShared,
-    obs: &ServeObs,
+    obs: &ServiceMetrics,
 ) {
     // Stage: ingest wait — charge each command's queue time against one
     // clock read (timestamps exist only while stage timing is enabled).
@@ -610,9 +577,7 @@ fn apply_round(
         ranges.push(start..updates.len());
     }
     let n = updates.len();
-    stats.queued.fetch_sub(n as i64, Ordering::Relaxed);
-    obs.queue_depth
-        .set(stats.queued.load(Ordering::Relaxed).max(0) as u64);
+    obs.queue_depth.sub(n as u64);
 
     // Feed the merged slice through the engine's real batch path.
     // `try_apply_batch` stops at the first rejection with the valid
@@ -646,19 +611,14 @@ fn apply_round(
     let seq = if delta.is_empty() {
         log.head()
     } else {
-        publish(delta, log, stats)
+        log.publish(delta)
     };
     obs.delta_broadcast.end(t_bcast);
 
     let rejected = outcomes.iter().filter(|o| o.is_some()).count();
-    stats
-        .applied
-        .fetch_add((n - rejected) as u64, Ordering::Relaxed);
-    stats.rejected.fetch_add(rejected as u64, Ordering::Relaxed);
-    stats.batches.fetch_add(1, Ordering::Relaxed);
-    stats.batch_hist.record(n as u64);
     obs.applied.add((n - rejected) as u64);
     obs.rejected.add(rejected as u64);
+    obs.batch_size.record(n as u64);
 
     for (cmd, range) in round.drain(..).zip(ranges.drain(..)) {
         if let Some(reply) = cmd.reply {
@@ -672,11 +632,4 @@ fn apply_round(
             let _ = reply.send(results);
         }
     }
-}
-
-/// Publishes one non-empty delta and mirrors the head into the stats.
-fn publish(delta: dynamis_core::SolutionDelta, log: &SharedLog, stats: &StatsShared) -> u64 {
-    let seq = log.publish(delta);
-    stats.head_seq.store(seq, Ordering::Relaxed);
-    seq
 }

@@ -1,6 +1,6 @@
 //! Versioned binary codec for everything the serving layer broadcasts:
 //! [`SolutionDelta`]s, sequenced log entries, [`Update`]s,
-//! [`EngineError`]s, and [`ServiceStats`] snapshots.
+//! [`EngineError`]s, and [`MetricsSnapshot`]s.
 //!
 //! This is the *value* layer of the network protocol (`dynamis-net`
 //! supplies the framing and the request/response vocabulary on top).
@@ -24,7 +24,6 @@
 //!   the numeric rejection codes clients observe are append-only across
 //!   releases.
 
-use crate::stats::{ServiceStats, HIST_BUCKETS};
 use dynamis_core::{EngineError, EngineStats, SolutionDelta};
 use dynamis_graph::{GraphError, Update};
 use dynamis_obs::{Event, HistogramSnapshot, MetricsSnapshot};
@@ -551,7 +550,7 @@ fn intern_parameter(s: &str) -> Result<&'static str, WireError> {
 }
 
 // ---------------------------------------------------------------------------
-// Ticket verdicts and ServiceStats
+// Ticket verdicts
 // ---------------------------------------------------------------------------
 
 /// Encodes one ticketed verdict `Result<seq, EngineError>` (versioned) —
@@ -596,82 +595,6 @@ pub fn take_verdict(r: &mut Reader<'_>) -> Result<Result<u64, EngineError>, Wire
             tag: tag as u16,
         }),
     }
-}
-
-/// Encodes one [`ServiceStats`] snapshot (versioned).
-pub fn encode_stats(s: &ServiceStats, out: &mut Vec<u8>) {
-    put_u16(out, WIRE_VERSION);
-    encode_stats_body(s, out);
-}
-
-/// Appends one [`ServiceStats`] snapshot *without* a version word — for
-/// composing into a larger versioned value.
-pub fn encode_stats_body(s: &ServiceStats, out: &mut Vec<u8>) {
-    put_u64(out, s.queue_depth);
-    put_u64(out, s.submitted);
-    put_u64(out, s.applied);
-    put_u64(out, s.rejected);
-    put_u64(out, s.batches);
-    out.push(HIST_BUCKETS as u8);
-    for &b in &s.batch_hist {
-        put_u64(out, b);
-    }
-    put_u64(out, s.head_seq);
-    put_u64(out, s.readers as u64);
-    put_u64(out, s.max_reader_lag);
-    put_u64(out, s.resyncs);
-    put_u64(out, s.desyncs);
-    put_u64(out, s.connections);
-    put_u64(out, s.sessions);
-    put_u64(out, s.subscriptions);
-    put_u64(out, s.shed);
-    put_u64(out, s.max_sub_lag);
-    put_u64(out, s.mean_sub_lag);
-}
-
-/// Decodes one [`ServiceStats`] snapshot; the whole buffer must be
-/// consumed. A snapshot encoded with more histogram buckets than this
-/// build knows folds the excess into the last (open-ended) bucket.
-pub fn decode_stats(buf: &[u8]) -> Result<ServiceStats, WireError> {
-    let mut r = Reader::new(buf);
-    r.take_version("stats")?;
-    let s = take_stats(&mut r)?;
-    r.finish()?;
-    Ok(s)
-}
-
-/// Streaming counterpart of [`decode_stats`]: reads one
-/// [`ServiceStats`] body (no version word) from the cursor.
-pub fn take_stats(r: &mut Reader<'_>) -> Result<ServiceStats, WireError> {
-    let mut s = ServiceStats {
-        queue_depth: r.take_u64("stats")?,
-        submitted: r.take_u64("stats")?,
-        applied: r.take_u64("stats")?,
-        rejected: r.take_u64("stats")?,
-        batches: r.take_u64("stats")?,
-        ..ServiceStats::default()
-    };
-    let buckets = r.take_u8("stats buckets")? as usize;
-    for i in 0..buckets {
-        let v = r.take_u64("stats histogram")?;
-        // Saturate when folding a newer encoder's extra buckets into the
-        // open-ended last one — corrupt inputs must not overflow.
-        let slot = &mut s.batch_hist[i.min(HIST_BUCKETS - 1)];
-        *slot = slot.saturating_add(v);
-    }
-    s.head_seq = r.take_u64("stats")?;
-    s.readers =
-        usize::try_from(r.take_u64("stats")?).map_err(|_| WireError::Malformed("reader count"))?;
-    s.max_reader_lag = r.take_u64("stats")?;
-    s.resyncs = r.take_u64("stats")?;
-    s.desyncs = r.take_u64("stats")?;
-    s.connections = r.take_u64("stats")?;
-    s.sessions = r.take_u64("stats")?;
-    s.subscriptions = r.take_u64("stats")?;
-    s.shed = r.take_u64("stats")?;
-    s.max_sub_lag = r.take_u64("stats")?;
-    s.mean_sub_lag = r.take_u64("stats")?;
-    Ok(s)
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ use dynamis_gen::adversarial::{AdversarialConfig, AdversarialStream};
 use dynamis_gen::uniform::gnm;
 use dynamis_gen::{StreamConfig, UpdateStream};
 use dynamis_graph::{DynamicGraph, Update};
+use dynamis_obs::MetricsSnapshot;
 use dynamis_serve::{MisService, ServeConfig, ServeError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -25,6 +26,19 @@ use std::thread;
 /// Scale knob: thousands of updates, kept debug-buildable; CI runs
 /// this same test under `--release` where it is ~20× faster.
 const STRESS_UPDATES: usize = 4000;
+
+fn counter(m: &MetricsSnapshot, name: &str) -> u64 {
+    m.counter(name)
+        .unwrap_or_else(|| panic!("no counter {name}"))
+}
+
+fn gauge(m: &MetricsSnapshot, name: &str) -> u64 {
+    m.gauge(name).unwrap_or_else(|| panic!("no gauge {name}"))
+}
+
+fn applied(m: &MetricsSnapshot) -> u64 {
+    counter(m, "serve_applied_total")
+}
 
 #[test]
 fn stress_multithreaded_readers_converge_at_quiesce() {
@@ -92,10 +106,17 @@ fn stress_multithreaded_readers_converge_at_quiesce() {
     let report = service.shutdown();
     stop.store(true, Ordering::Relaxed);
 
-    assert_eq!(report.stats.applied, STRESS_UPDATES as u64);
-    assert_eq!(report.stats.rejected, invalid);
-    assert_eq!(report.stats.queue_depth, 0, "shutdown flushed the queue");
-    assert!(report.stats.desyncs == 0, "broadcast must never desync");
+    assert_eq!(applied(&report.metrics), STRESS_UPDATES as u64);
+    assert_eq!(counter(&report.metrics, "serve_rejected_total"), invalid);
+    assert_eq!(
+        gauge(&report.metrics, "serve_queue_depth"),
+        0,
+        "shutdown flushed the queue"
+    );
+    assert!(
+        counter(&report.metrics, "serve_desyncs_total") == 0,
+        "broadcast must never desync"
+    );
 
     // Every reader — the spawn-time one and the per-thread forks —
     // lands exactly on the engine's final solution.
@@ -129,18 +150,15 @@ fn shutdown_flushes_everything_already_queued() {
     }
     // …yet shutdown must apply the whole queue before returning.
     let report = service.shutdown();
-    assert_eq!(report.stats.submitted, 1500);
-    assert_eq!(report.stats.applied, 1500);
-    assert_eq!(report.stats.rejected, 0);
-    assert_eq!(report.stats.queue_depth, 0);
+    assert_eq!(counter(&report.metrics, "serve_submitted_total"), 1500);
+    assert_eq!(applied(&report.metrics), 1500);
+    assert_eq!(counter(&report.metrics, "serve_rejected_total"), 0);
+    assert_eq!(gauge(&report.metrics, "serve_queue_depth"), 0);
     assert_eq!(reader.snapshot(), report.solution);
     // The queue was saturated relative to the writer: adaptive batching
     // must have merged bursts (strictly fewer batches than updates).
-    assert!(
-        report.stats.batches < 1500,
-        "expected merged batches, got {}",
-        report.stats.batches
-    );
+    let batches = report.metrics.histogram("serve_batch_size").unwrap().count;
+    assert!(batches < 1500, "expected merged batches, got {batches}");
 }
 
 /// An engine wrapper whose batch application blocks on a gate — makes
@@ -252,7 +270,9 @@ fn bounded_queue_applies_backpressure() {
         Err(ServeError::QueueFull) => {}
         other => panic!("expected QueueFull, got {other:?}"),
     }
-    assert!(service.stats().queue_depth >= 1);
+    // The writer is blocked: the queued update shows in a snapshot taken
+    // now, not only after the writer's next round.
+    assert!(gauge(&service.metrics(), "serve_queue_depth") >= 1);
 
     // Open the gate: everything flows, tickets resolve in order.
     gate.open();
@@ -266,7 +286,7 @@ fn bounded_queue_applies_backpressure() {
         .wait()
         .unwrap();
     let report = service.shutdown();
-    assert_eq!(report.stats.applied, 3);
+    assert_eq!(applied(&report.metrics), 3);
     assert_eq!(report.engine, "GatedEngine");
 }
 
@@ -383,8 +403,8 @@ fn batch_tickets_carry_per_update_verdicts() {
     ));
     assert!(outcome[4].is_ok());
     let report = service.shutdown();
-    assert_eq!(report.stats.applied, 3);
-    assert_eq!(report.stats.rejected, 2);
+    assert_eq!(applied(&report.metrics), 3);
+    assert_eq!(counter(&report.metrics, "serve_rejected_total"), 2);
     assert_eq!(reader.snapshot(), report.solution);
 }
 
@@ -405,7 +425,7 @@ fn submitting_after_shutdown_reports_stopped() {
         .unwrap();
     drop(ingest);
     let report = done.join().unwrap();
-    assert_eq!(report.stats.applied, 2);
+    assert_eq!(applied(&report.metrics), 2);
 }
 
 #[test]
@@ -437,7 +457,32 @@ fn serves_the_adversarial_stream() {
         service.submit_detached(u).unwrap();
     }
     let report = service.shutdown();
-    assert_eq!(report.stats.applied, 2000);
-    assert_eq!(report.stats.rejected, 0, "adversarial stream is valid");
+    assert_eq!(applied(&report.metrics), 2000);
+    assert_eq!(
+        counter(&report.metrics, "serve_rejected_total"),
+        0,
+        "adversarial stream is valid"
+    );
     assert_eq!(reader.snapshot(), report.solution);
+}
+
+/// Two services in one process keep separate counts: each snapshot
+/// reports only its own service's `serve_*` series.
+#[test]
+fn services_in_one_process_report_only_their_own_counts() {
+    let spawn = || {
+        let g = DynamicGraph::from_edges(8, &[(0, 1), (2, 3)]);
+        MisService::spawn(EngineBuilder::on(g), ServeConfig::default()).unwrap()
+    };
+    let (a, _ra) = spawn();
+    let (b, _rb) = spawn();
+    for u in [Update::InsertEdge(4, 5), Update::InsertEdge(6, 7)] {
+        a.submit(u).unwrap().wait().unwrap();
+    }
+    b.submit(Update::InsertEdge(0, 2)).unwrap().wait().unwrap();
+    assert_eq!(applied(&a.metrics()), 2);
+    assert_eq!(applied(&b.metrics()), 1);
+    assert_eq!(counter(&b.metrics(), "serve_submitted_total"), 1);
+    assert_eq!(applied(&a.shutdown().metrics), 2);
+    assert_eq!(applied(&b.shutdown().metrics), 1);
 }

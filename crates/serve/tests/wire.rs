@@ -8,11 +8,10 @@ use dynamis_core::{EngineError, EngineStats, SolutionDelta};
 use dynamis_graph::{GraphError, Update};
 use dynamis_obs::{Event, HistogramSnapshot, MetricsSnapshot, NUM_BUCKETS, SNAPSHOT_VERSION};
 use dynamis_serve::wire::{
-    decode_delta, decode_engine_error, decode_log_entry, decode_metrics, decode_stats,
-    decode_update, decode_verdict, encode_delta, encode_engine_error, encode_log_entry,
-    encode_metrics, encode_stats, encode_update, encode_verdict, WireError,
+    decode_delta, decode_engine_error, decode_log_entry, decode_metrics, decode_update,
+    decode_verdict, encode_delta, encode_engine_error, encode_log_entry, encode_metrics,
+    encode_update, encode_verdict, WireError,
 };
-use dynamis_serve::ServiceStats;
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -82,32 +81,6 @@ fn arb_engine_error(rng: &mut SmallRng, depth: usize) -> EngineError {
             cause: Box::new(arb_engine_error(rng, depth + 1)),
         },
     }
-}
-
-fn arb_stats(rng: &mut SmallRng) -> ServiceStats {
-    let mut s = ServiceStats {
-        queue_depth: rng.gen(),
-        submitted: rng.gen(),
-        applied: rng.gen(),
-        rejected: rng.gen(),
-        batches: rng.gen(),
-        head_seq: rng.gen(),
-        readers: rng.gen_range(0..1000usize),
-        max_reader_lag: rng.gen(),
-        resyncs: rng.gen(),
-        desyncs: rng.gen(),
-        connections: rng.gen(),
-        sessions: rng.gen(),
-        subscriptions: rng.gen(),
-        shed: rng.gen(),
-        max_sub_lag: rng.gen(),
-        mean_sub_lag: rng.gen(),
-        ..ServiceStats::default()
-    };
-    for b in s.batch_hist.iter_mut() {
-        *b = rng.gen();
-    }
-    s
 }
 
 fn arb_name(rng: &mut SmallRng) -> String {
@@ -216,16 +189,6 @@ proptest! {
         prop_assert_eq!(decode_verdict(&buf).unwrap(), v);
     }
 
-    /// Stats snapshots round-trip, histogram included.
-    #[test]
-    fn stats_round_trip(seed in 0u64..u64::MAX) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let s = arb_stats(&mut rng);
-        let mut buf = Vec::new();
-        encode_stats(&s, &mut buf);
-        prop_assert_eq!(decode_stats(&buf).unwrap(), s);
-    }
-
     /// Telemetry snapshots round-trip through the wire codec: the exact
     /// same `MetricsSnapshot` schema serves the in-process API, the
     /// wire call, and the text encoders.
@@ -270,12 +233,11 @@ proptest! {
     fn mutation_never_panics(seed in 0u64..u64::MAX) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut buf = Vec::new();
-        match rng.gen_range(0..5u32) {
+        match rng.gen_range(0..4u32) {
             0 => encode_delta(&arb_delta(&mut rng), &mut buf),
             1 => encode_update(&arb_update(&mut rng), &mut buf),
             2 => encode_engine_error(&arb_engine_error(&mut rng, 0), &mut buf),
-            3 => encode_metrics(&arb_metrics(&mut rng), &mut buf),
-            _ => encode_stats(&arb_stats(&mut rng), &mut buf),
+            _ => encode_metrics(&arb_metrics(&mut rng), &mut buf),
         }
         for _ in 0..rng.gen_range(1..8usize) {
             let i = rng.gen_range(0..buf.len());
@@ -284,7 +246,6 @@ proptest! {
         let _ = decode_delta(&buf);
         let _ = decode_update(&buf);
         let _ = decode_engine_error(&buf);
-        let _ = decode_stats(&buf);
         let _ = decode_verdict(&buf);
         let _ = decode_log_entry(&buf);
         let _ = decode_metrics(&buf);
@@ -298,7 +259,6 @@ proptest! {
         let _ = decode_delta(&buf);
         let _ = decode_update(&buf);
         let _ = decode_engine_error(&buf);
-        let _ = decode_stats(&buf);
         let _ = decode_verdict(&buf);
         let _ = decode_log_entry(&buf);
         let _ = decode_metrics(&buf);
@@ -327,10 +287,10 @@ fn newer_versions_are_refused_everywhere() {
     ));
 
     buf.clear();
-    encode_stats(&ServiceStats::default(), &mut buf);
+    encode_metrics(&MetricsSnapshot::default(), &mut buf);
     buf[..2].copy_from_slice(&v.to_le_bytes());
     assert!(matches!(
-        decode_stats(&buf),
+        decode_metrics(&buf),
         Err(WireError::UnsupportedVersion { .. })
     ));
 }

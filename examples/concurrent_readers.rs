@@ -67,18 +67,23 @@ fn main() {
     for u in ups {
         service.submit_detached(u).expect("service alive");
     }
-    let stats = service.stats();
-    println!("ingest queued in {:?}; live stats: {}", t.elapsed(), stats);
+    let live = service.metrics();
+    println!(
+        "ingest queued in {:?}; live: head seq {}, queue depth {}, {} readers",
+        t.elapsed(),
+        live.gauge("serve_head_seq").unwrap_or(0),
+        live.gauge("serve_queue_depth").unwrap_or(0),
+        live.gauge("serve_readers").unwrap_or(0),
+    );
     let report = service.shutdown(); // flushes the queue
     let elapsed = t.elapsed();
     stop.store(true, Ordering::Relaxed);
 
+    let applied = report.metrics.counter("serve_applied_total").unwrap_or(0);
     println!(
-        "applied {} updates in {:.2?} ({:.0} updates/s), mean batch {:.1}",
-        report.stats.applied,
-        elapsed,
-        report.stats.applied as f64 / elapsed.as_secs_f64(),
-        report.stats.mean_batch(),
+        "applied {applied} updates in {elapsed:.2?} ({:.0} updates/s), mean batch {:.1}",
+        applied as f64 / elapsed.as_secs_f64(),
+        report.metrics.histogram("serve_batch_size").unwrap().mean(),
     );
     for h in query_threads {
         let (id, queries, members, seq) = h.join().unwrap();

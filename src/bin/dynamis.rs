@@ -32,6 +32,7 @@ use dynamis::graph::algo::{
 };
 use dynamis::graph::io;
 use dynamis::net::{LoadConfig, NetBackend, NetConfig, NetServer};
+use dynamis::obs::MetricsSnapshot;
 use dynamis::statics::{
     arw_local_search, greedy_mis, luby_mis, reducing_peeling, solve_exact, ArwConfig, ExactConfig,
 };
@@ -86,7 +87,7 @@ net-serve prints `LISTENING <addr>` once ready, serves until stdin closes
 (EOF), then drains subscribers and shuts down; net-load reports writer
 round-trip percentiles, throughput, and delta-stream integrity
 --metrics true enables the gated stage timers (counters are always on);
-`metrics` fetches the registry snapshot over the wire — human-readable by
+`metrics` fetches the server's snapshot over the wire — human-readable by
 default, --json/--prom for machine output, --require fails unless every
 named series exists and is non-zero (for CI smoke checks)
 --data-dir makes net-serve durable: accepted updates go to a checksummed
@@ -504,23 +505,54 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     let queries: u64 = query_threads.into_iter().map(|h| h.join().unwrap()).sum();
 
+    let applied = report.metrics.counter("serve_applied_total").unwrap_or(0);
     println!(
-        "{} behind serving layer: {} updates in {:.2?} ({:.0} updates/s)",
+        "{} behind serving layer: {applied} updates in {elapsed:.2?} ({:.0} updates/s)",
         report.engine,
-        report.stats.applied,
-        elapsed,
-        report.stats.applied as f64 / elapsed.as_secs_f64()
+        applied as f64 / elapsed.as_secs_f64()
     );
     println!(
         "{readers} readers: {queries} point queries ({:.0} queries/s aggregate)",
         queries as f64 / elapsed.as_secs_f64()
     );
-    println!("final stats: {}", report.stats);
+    println!("final metrics: {}", serve_summary(&report.metrics));
     println!("final |I| = {}", report.solution.len());
     if dynamis::obs::enabled() {
-        println!("{}", dynamis::obs::global().snapshot().to_prometheus());
+        println!("{}", report.metrics.to_prometheus());
     }
     Ok(())
+}
+
+/// One line of a service's key series, read from its metrics snapshot
+/// (the `net:` part only when a network front end registered it).
+fn serve_summary(m: &MetricsSnapshot) -> String {
+    let c = |name| m.counter(name).unwrap_or(0);
+    let g = |name| m.gauge(name).unwrap_or(0);
+    let batches = m.histogram("serve_batch_size").map_or(0, |h| h.count);
+    let mut line = format!(
+        "seq {} | queue {} | applied {} / rejected {} in {batches} batches | \
+         {} readers, max lag {} | resyncs {} desyncs {}",
+        g("serve_head_seq"),
+        g("serve_queue_depth"),
+        c("serve_applied_total"),
+        c("serve_rejected_total"),
+        g("serve_readers"),
+        g("serve_reader_lag_max"),
+        c("serve_resyncs_total"),
+        c("serve_desyncs_total"),
+    );
+    if m.gauge("net_sessions").is_some() {
+        line += &format!(
+            " | net: {} conns, {} sessions, {} subs, {} shed, sub lag max {} mean {}",
+            c("net_connections_total"),
+            g("net_sessions"),
+            g("net_subscriptions"),
+            c("net_shed_total"),
+            g("net_sub_lag_max"),
+            g("net_sub_lag_mean"),
+        );
+    }
+    line
 }
 
 fn cmd_net_serve(args: &[String]) -> Result<(), String> {
@@ -651,9 +683,9 @@ fn cmd_net_serve(args: &[String]) -> Result<(), String> {
             Ok(_) => {}
         }
     }
-    let stats = handle.stats();
+    let metrics = service.metrics();
     handle.shutdown();
-    eprintln!("net-serve: {stats}");
+    eprintln!("net-serve: {}", serve_summary(&metrics));
     let report = service.shutdown();
     eprintln!(
         "net-serve: served {}, final |I| = {}",

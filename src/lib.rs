@@ -71,4 +71,4 @@ pub use dynamis_core::{
 };
 pub use dynamis_gen::{StreamConfig, UpdateStream, Workload};
 pub use dynamis_graph::{CsrGraph, DynamicGraph, GraphError, Update};
-pub use dynamis_serve::{MisService, ReaderHandle, ServeConfig, ServeError, ServiceStats};
+pub use dynamis_serve::{MisService, ReaderHandle, ServeConfig, ServeError};
