@@ -16,8 +16,9 @@
 //!   [`server::NetBackend`], plus a pool of hub workers
 //!   ([`server::NetConfig::hubs`], round-robin subscriber assignment)
 //!   that own the subscription sockets and fan sequenced deltas out of
-//!   the shared broadcast log — each entry encoded once process-wide
-//!   through a shared frame cache, written once per subscriber.
+//!   the shared broadcast log — woken by each publish rather than a
+//!   timer, each entry encoded once process-wide through a shared frame
+//!   cache, written once per subscriber.
 //! - [`client`] — the blocking [`client::NetClient`], the
 //!   [`client::Subscription`] consumer, and the strict
 //!   [`client::RemoteMirror`] replica that makes "every delta, exactly

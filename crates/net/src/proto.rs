@@ -438,11 +438,7 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
             out.push(9);
             wire::put_u64(out, *resume_seq);
         }
-        Response::Delta { seq, delta } => {
-            out.push(10);
-            wire::put_u64(out, *seq);
-            wire::encode_delta_body(delta, out);
-        }
+        Response::Delta { seq, delta } => put_delta(out, *seq, delta),
         Response::Checkpoint { seq, solution } => {
             out.push(11);
             wire::put_u64(out, *seq);
@@ -476,6 +472,27 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
             wire::put_u32s(out, members);
         }
     }
+}
+
+/// The `Delta` response after the codec word: tag, seq, delta body.
+fn put_delta(out: &mut Vec<u8>, seq: u64, delta: &SolutionDelta) {
+    out.push(10);
+    wire::put_u64(out, seq);
+    wire::encode_delta_body(delta, out);
+}
+
+/// Appends one complete `Delta` frame — length prefix plus payload — to
+/// `out`. The bytes equal the prefix plus [`encode_response`] of
+/// `Response::Delta { seq, delta }`, but nothing is cloned and the
+/// payload is written in place, so the subscription fan-out encodes a
+/// log entry straight from its shared delta.
+pub fn encode_delta_frame(seq: u64, delta: &SolutionDelta, out: &mut Vec<u8>) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    wire::put_u16(out, wire::WIRE_VERSION);
+    put_delta(out, seq, delta);
+    let len = u32::try_from(out.len() - at - 4).expect("a delta frame fits a u32 length prefix");
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Decodes one response frame payload.

@@ -21,6 +21,12 @@
 //! subscribers cost ten thousand sockets owned by [`NetConfig::hubs`]
 //! threads, not ten thousand threads.
 //!
+//! Hubs are event-driven, with no timer: [`SharedLog::publish`] unparks
+//! every hub that holds a subscriber, a `Subscribe` hand-off unparks the
+//! hub it picked, and [`NetServerHandle::shutdown`] unparks them all. A
+//! hub with nothing to do parks until one of those happens, and a hub
+//! with no subscribers neither tails the log nor encodes frames.
+//!
 //! Each hub worker tails the log independently, but every entry is
 //! encoded **once** process-wide: workers pull complete frames from a
 //! shared seq-keyed cache, so adding workers multiplies write
@@ -46,8 +52,8 @@
 use crate::admission::Admission;
 use crate::frame::{read_frame, write_frame, FrameBuffer};
 use crate::proto::{
-    decode_request, encode_response, Request, Response, SubFilter, ERR_MALFORMED, ERR_ORDER,
-    ERR_SHUTDOWN, ERR_VERSION, PROTO_VERSION,
+    decode_request, encode_delta_frame, encode_response, Request, Response, SubFilter,
+    ERR_MALFORMED, ERR_ORDER, ERR_SHUTDOWN, ERR_VERSION, PROTO_VERSION,
 };
 use dynamis_core::SolutionDelta;
 use dynamis_obs::{Counter, Gauge, MetricsRegistry, Stage};
@@ -59,10 +65,15 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for [`NetServer::bind`].
+/// How long a session blocked in `read` waits before it wakes to check
+/// for shutdown.
+const SESSION_STOP_CHECK: Duration = Duration::from_millis(20);
+
+/// Tuning knobs for [`NetServer::bind`]. None of them is a timer for
+/// hub wake-ups: hubs wake on publish, hand-off and shutdown.
 #[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
     /// Maximum concurrently live sessions; connections beyond the cap
@@ -76,8 +87,6 @@ pub struct NetConfig {
     /// Maximum log entries a straggling subscriber is advanced per hub
     /// round (caught-up subscribers ride the shared blob instead).
     pub sub_batch: usize,
-    /// Hub idle poll and session read-timeout granularity.
-    pub poll: Duration,
     /// Per-subscriber write timeout; a subscriber that cannot absorb a
     /// round's deltas within it is dropped (it reconnects and resumes).
     pub write_timeout: Duration,
@@ -108,7 +117,6 @@ impl Default for NetConfig {
             shed_high: 768,
             shed_low: 256,
             sub_batch: 256,
-            poll: Duration::from_millis(1),
             write_timeout: Duration::from_secs(2),
             flush_timeout: Duration::from_secs(30),
             hubs: 1,
@@ -146,11 +154,11 @@ impl NetBackend {
 
 /// Cached telemetry handles for the net layer: one latency stage per
 /// request type (gated timers — see [`dynamis_obs::Stage`]) and the
-/// hub's encode/write stages, all process-global; plus the `net_*`
-/// series, registered in the fronted service's own registry: the
-/// connection counter, the live session and subscription gauges, and
-/// the fan-out lag gauges the hub workers refresh each progressing
-/// round.
+/// hub's encode, write and commit-to-write stages, all process-global;
+/// plus the `net_*` series, registered in the fronted service's own
+/// registry: the connection and hub-round counters, the live session
+/// and subscription gauges, and the fan-out lag gauges the hub workers
+/// refresh each progressing round.
 struct NetObs {
     req_hello: Stage,
     req_apply: Stage,
@@ -164,10 +172,15 @@ struct NetObs {
     req_bootstrap: Stage,
     hub_encode: Stage,
     sub_write: Stage,
+    /// From an entry's publish to the end of the subscriber write that
+    /// delivers it (the oldest entry of each write).
+    commit_to_write: Stage,
     /// The service registry, where the per-subscriber lag gauges come
     /// and go.
     registry: Arc<MetricsRegistry>,
     connections: Arc<Counter>,
+    /// Hub loop iterations, summed over the hub workers.
+    hub_rounds: Arc<Counter>,
     sessions: Arc<Gauge>,
     subscriptions: Arc<Gauge>,
     lag_max: Arc<Gauge>,
@@ -189,7 +202,9 @@ impl NetObs {
             req_bootstrap: Stage::global("net_req_bootstrap_ns"),
             hub_encode: Stage::global("net_hub_encode_ns"),
             sub_write: Stage::global("net_sub_write_ns"),
+            commit_to_write: Stage::global("net_commit_to_write_ns"),
             connections: registry.counter("net_connections_total"),
+            hub_rounds: registry.counter("net_hub_rounds_total"),
             sessions: registry.gauge("net_sessions"),
             subscriptions: registry.gauge("net_subscriptions"),
             lag_max: registry.gauge("net_sub_lag_max"),
@@ -240,17 +255,8 @@ impl FrameCache {
         if let Some(f) = self.frames.lock().unwrap().get(&e.seq) {
             return Arc::clone(f);
         }
-        let mut payload = Vec::new();
-        encode_response(
-            &Response::Delta {
-                seq: e.seq,
-                delta: e.delta.clone(),
-            },
-            &mut payload,
-        );
-        let mut frame = Vec::with_capacity(payload.len() + 4);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let mut frame = Vec::new();
+        encode_delta_frame(e.seq, &e.delta, &mut frame);
         let mut g = self.frames.lock().unwrap();
         let f = Arc::clone(g.entry(e.seq).or_insert_with(|| Arc::new(frame)));
         while g.len() > self.cap {
@@ -302,6 +308,14 @@ impl Shared {
         self.obs.lag_max.set(max);
         self.obs.lag_mean.set(sum.checked_div(count).unwrap_or(0));
     }
+}
+
+/// A session's route to one hub worker: the hand-off channel plus the
+/// thread to unpark after sending on it.
+#[derive(Clone)]
+struct HubLink {
+    tx: mpsc::Sender<Sub>,
+    thread: Thread,
 }
 
 /// A subscription socket owned by a hub worker, positioned at `seq`.
@@ -377,23 +391,25 @@ impl NetServer {
             hub_lag: (0..hubs_n).map(|_| HubLag::default()).collect(),
             rr: AtomicUsize::new(0),
         });
-        let mut sub_txs = Vec::with_capacity(hubs_n);
+        let mut links = Vec::with_capacity(hubs_n);
         let mut hubs = Vec::with_capacity(hubs_n);
         for i in 0..hubs_n {
             let (tx, rx) = mpsc::channel::<Sub>();
-            sub_txs.push(tx);
             let hub_shared = Arc::clone(&shared);
-            hubs.push(
-                thread::Builder::new()
-                    .name(format!("dynamis-net-hub-{i}"))
-                    .spawn(move || hub_loop(&hub_shared, rx, i))
-                    .expect("failed to spawn net hub thread"),
-            );
+            let hub = thread::Builder::new()
+                .name(format!("dynamis-net-hub-{i}"))
+                .spawn(move || hub_loop(&hub_shared, rx, i))
+                .expect("failed to spawn net hub thread");
+            links.push(HubLink {
+                tx,
+                thread: hub.thread().clone(),
+            });
+            hubs.push(hub);
         }
         let acc_shared = Arc::clone(&shared);
         let acceptor = thread::Builder::new()
             .name("dynamis-net-accept".into())
-            .spawn(move || accept_loop(listener, &acc_shared, sub_txs))
+            .spawn(move || accept_loop(listener, &acc_shared, links))
             .expect("failed to spawn net acceptor thread");
         Ok(NetServerHandle {
             local_addr,
@@ -431,13 +447,18 @@ impl NetServerHandle {
         // Unblock the acceptor with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         let _ = self.acceptor.join();
+        // The stop flag is stored before each unpark, so a hub parked
+        // (or about to park) wakes and sees it.
+        for hub in &self.hubs {
+            hub.thread().unpark();
+        }
         for hub in self.hubs {
             let _ = hub.join();
         }
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, sub_txs: Vec<mpsc::Sender<Sub>>) {
+fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, links: Vec<HubLink>) {
     let mut sessions: Vec<JoinHandle<()>> = Vec::new();
     loop {
         let stream = match listener.accept() {
@@ -462,10 +483,10 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, sub_txs: Vec<mpsc::S
             continue;
         }
         let s = Arc::clone(shared);
-        let txs = sub_txs.clone();
+        let links = links.clone();
         match thread::Builder::new()
             .name("dynamis-net-session".into())
-            .spawn(move || session_loop(stream, &s, txs))
+            .spawn(move || session_loop(stream, &s, links))
         {
             Ok(j) => sessions.push(j),
             // The stream died with the unspawned closure; all we can
@@ -473,7 +494,7 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, sub_txs: Vec<mpsc::S
             Err(_) => shared.admission.count_shed(),
         }
     }
-    drop(sub_txs);
+    drop(links);
     for j in sessions {
         let _ = j.join();
     }
@@ -502,10 +523,10 @@ fn send(stream: &mut TcpStream, resp: &Response, payload: &mut Vec<u8>, out: &mu
     stream.write_all(out).is_ok()
 }
 
-fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>, sub_txs: Vec<mpsc::Sender<Sub>>) {
+fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>, links: Vec<HubLink>) {
     shared.obs.sessions.add(1);
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.cfg.poll.max(Duration::from_millis(20))));
+    let _ = stream.set_read_timeout(Some(SESSION_STOP_CHECK));
     let mut fb = FrameBuffer::new();
     let mut chunk = [0u8; 16 * 1024];
     let mut payload = Vec::new();
@@ -666,20 +687,22 @@ fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>, sub_txs: Vec<mpsc::
                     if ok {
                         // Convert the connection: a hub worker (chosen
                         // round-robin) owns the socket from here; this
-                        // session thread ends.
+                        // session thread ends. The unpark follows the
+                        // send, so the hub finds the subscriber whether
+                        // it was parked or about to park.
                         let _ = stream.set_read_timeout(None);
                         shared.obs.subscriptions.add(1);
-                        let hub = shared.rr.fetch_add(1, Ordering::Relaxed) % sub_txs.len();
-                        if sub_txs[hub]
-                            .send(Sub {
-                                stream,
-                                seq: after_seq,
-                                filter,
-                                behind: 0,
-                                lag: None,
-                            })
-                            .is_err()
-                        {
+                        let hub = &links[shared.rr.fetch_add(1, Ordering::Relaxed) % links.len()];
+                        let sub = Sub {
+                            stream,
+                            seq: after_seq,
+                            filter,
+                            behind: 0,
+                            lag: None,
+                        };
+                        if hub.tx.send(sub).is_ok() {
+                            hub.thread.unpark();
+                        } else {
                             shared.obs.subscriptions.sub(1);
                         }
                     }
@@ -814,54 +837,64 @@ fn install_sub(shared: &Shared, mut sub: Sub) -> Sub {
 
 /// One fan-out hub worker: owns the subscription sockets assigned to
 /// it, tails the log independently of its siblings, and shares the
-/// encode-once frame cache with them.
+/// encode-once frame cache with them. It parks whenever a round moved
+/// nothing; publish (while it holds a subscriber), hand-off and
+/// shutdown unpark it.
 fn hub_loop(shared: &Arc<Shared>, sub_rx: mpsc::Receiver<Sub>, hub_idx: usize) {
+    let watch = shared.log.watch();
     let mut subs: Vec<Sub> = Vec::new();
     let mut hub_seq = 0u64; // newest seq assembled into the shared blob
     let mut blob = Vec::new(); // this round's frames (cache-encoded)
     let mut payload = Vec::new();
     let mut scratch = Vec::new();
     loop {
+        shared.obs.hub_rounds.inc();
         let stopping = shared.stop.load(Ordering::SeqCst);
-        // Install newly handed-off subscribers.
+        // Install newly handed-off subscribers. A disconnected channel
+        // only means the acceptor is gone; existing subscribers are
+        // served until stop.
         let mut roster_changed = false;
-        loop {
-            match sub_rx.try_recv() {
-                Ok(sub) => {
-                    subs.push(install_sub(shared, sub));
-                    roster_changed = true;
-                }
-                Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => break,
-            }
+        while let Ok(sub) = sub_rx.try_recv() {
+            subs.push(install_sub(shared, sub));
+            roster_changed = true;
         }
-        // Assemble this round's new entries into one write blob; the
-        // frames come from the shared cache, so across N workers each
-        // entry is encoded once.
         let blob_start = hub_seq;
         blob.clear();
-        let t_encode = shared.obs.hub_encode.begin();
-        match shared.log.tail_after(hub_seq, 4096) {
-            LogTail::UpToDate => {}
-            LogTail::Entries(entries) => {
-                for e in &entries {
-                    let frame = shared.frames.frame_for(e);
-                    blob.extend_from_slice(&frame);
-                    hub_seq = e.seq;
+        // Publish instant of the blob's oldest entry.
+        let mut blob_committed = None;
+        if subs.is_empty() {
+            // Nobody listening: neither tail nor encode. A subscriber
+            // handed off later catches up on the straggler path.
+            hub_seq = shared.log.head();
+        } else {
+            // Assemble this round's new entries into one write blob;
+            // the frames come from the shared cache, so across N
+            // workers each entry is encoded once.
+            let t_encode = shared.obs.hub_encode.begin();
+            match shared.log.tail_after(hub_seq, 4096) {
+                LogTail::UpToDate => {}
+                LogTail::Entries(entries) => {
+                    blob_committed = entries[0].committed_at;
+                    for e in &entries {
+                        let frame = shared.frames.frame_for(e);
+                        blob.extend_from_slice(&frame);
+                        hub_seq = e.seq;
+                    }
+                }
+                LogTail::Checkpoint { seq, .. } => {
+                    // The hub itself fell behind the window (a stall
+                    // while the writer blasted past it). Jump forward;
+                    // every straggling subscriber gets its own
+                    // checkpoint below.
+                    dynamis_obs::event(
+                        "checkpoint_reseed",
+                        format!("hub {hub_idx} jumped from seq {hub_seq} to {seq}"),
+                    );
+                    hub_seq = seq;
                 }
             }
-            LogTail::Checkpoint { seq, .. } => {
-                // The hub itself fell behind the window (a stall while
-                // the writer blasted past it). Jump forward; every
-                // straggling subscriber gets its own checkpoint below.
-                dynamis_obs::event(
-                    "checkpoint_reseed",
-                    format!("hub {hub_idx} jumped from seq {hub_seq} to {seq}"),
-                );
-                hub_seq = seq;
-            }
+            shared.obs.hub_encode.end(t_encode);
         }
-        shared.obs.hub_encode.end(t_encode);
         let mut progressed = !blob.is_empty();
         let before = subs.len();
         subs.retain_mut(|sub| {
@@ -876,6 +909,7 @@ fn hub_loop(shared: &Arc<Shared>, sub_rx: mpsc::Receiver<Sub>, hub_idx: usize) {
                     shared.obs.subscriptions.sub(1);
                     return false;
                 }
+                shared.obs.commit_to_write.end(blob_committed);
                 sub.seq = hub_seq;
                 sub.behind = 0;
                 return true;
@@ -945,21 +979,22 @@ fn hub_loop(shared: &Arc<Shared>, sub_rx: mpsc::Receiver<Sub>, hub_idx: usize) {
             return;
         }
         if !progressed {
-            // Idle: park on the handoff channel for up to one poll
-            // tick (new log entries are detected next round).
-            match sub_rx.recv_timeout(shared.cfg.poll) {
-                Ok(sub) => {
-                    subs.push(install_sub(shared, sub));
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    // Acceptor gone: keep serving existing subscribers
-                    // until stop is set.
-                    if subs.is_empty() && shared.stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    thread::sleep(shared.cfg.poll);
-                }
+            // Park until there is work. No publish is lost: interest is
+            // stored before the head is read, and `publish` stores the
+            // head before it reads the interest flag, all four SeqCst.
+            // So either the read below sees the new head, or `publish`
+            // sees the flag and unparks this thread; an unpark landing
+            // between the check and `park` sets the park token and
+            // `park` returns at once. Hand-offs and shutdown unpark
+            // after their send / stop store, so the same token covers
+            // them. Nothing else on this thread may park (a blocking
+            // channel receive would), or it could swallow that token.
+            // With no subscribers the hub declares no interest and
+            // publishes do not wake it. `park` may also return
+            // spuriously; the next round is then a no-op.
+            watch.set_interest(!subs.is_empty());
+            if subs.is_empty() || shared.log.head() <= hub_seq {
+                thread::park();
             }
         }
     }
@@ -1016,6 +1051,7 @@ fn advance_sub(
         }
         LogTail::Entries(entries) => {
             let saturated = entries.len() >= shared.cfg.sub_batch;
+            let committed = entries[0].committed_at;
             out.clear();
             let mut last = sub.seq;
             if sub.filter.is_all() {
@@ -1036,33 +1072,18 @@ fn advance_sub(
                     if masked.is_empty() {
                         continue;
                     }
-                    encode_response(
-                        &Response::Delta {
-                            seq: e.seq,
-                            delta: masked,
-                        },
-                        payload,
-                    );
-                    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                    out.extend_from_slice(payload);
+                    encode_delta_frame(e.seq, &masked, out);
                     wrote_through = e.seq;
                 }
                 if wrote_through < last {
-                    encode_response(
-                        &Response::Delta {
-                            seq: last,
-                            delta: SolutionDelta::default(),
-                        },
-                        payload,
-                    );
-                    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                    out.extend_from_slice(payload);
+                    encode_delta_frame(last, &SolutionDelta::default(), out);
                 }
             }
             let t = shared.obs.sub_write.begin();
             let wrote = sub.stream.write_all(out);
             shared.obs.sub_write.end(t);
             wrote.map_err(|_| ())?;
+            shared.obs.commit_to_write.end(committed);
             sub.seq = last;
             // Crawl detection: a saturated advance that still leaves
             // the subscriber more than a batch behind means the writer

@@ -1,9 +1,13 @@
 //! Fuzz-style property tests for the framing layer: payloads survive
-//! arbitrary chunking, and no corruption of the byte stream can make
-//! the reassembly buffer panic or stage an oversized allocation.
+//! arbitrary chunking, no corruption of the byte stream can make the
+//! reassembly buffer panic or stage an oversized allocation, and the
+//! in-place delta frame encoder writes exactly the generic encoder's
+//! bytes.
 
+use dynamis_core::{EngineStats, SolutionDelta};
 use dynamis_net::error::NetError;
 use dynamis_net::frame::{FrameBuffer, MAX_FRAME};
+use dynamis_net::proto::{encode_delta_frame, encode_response, Response};
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -71,6 +75,44 @@ proptest! {
                 Err(e) => return Err(TestCaseError::fail(format!("unexpected error kind: {e}"))),
             }
         }
+    }
+
+    /// `encode_delta_frame` appends the length prefix plus exactly the
+    /// payload `encode_response` writes for the same `Delta`, leaving
+    /// whatever `out` already held untouched.
+    #[test]
+    fn delta_frame_matches_generic_encoder(seed in 0u64..u64::MAX) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let members = |rng: &mut SmallRng| -> Vec<u32> {
+            (0..rng.gen_range(0..40usize)).map(|_| rng.gen::<u32>()).collect()
+        };
+        let delta = SolutionDelta {
+            entered: members(&mut rng),
+            left: members(&mut rng),
+            stats: EngineStats {
+                updates: rng.gen(),
+                one_swaps: rng.gen(),
+                two_swaps: rng.gen(),
+                perturbations: rng.gen(),
+                repairs: rng.gen(),
+                entry_hash_probes: rng.gen(),
+                hot_hash_probes: rng.gen(),
+            },
+        };
+        let seq = rng.gen::<u64>();
+        let prior: Vec<u8> = (0..rng.gen_range(0..8usize))
+            .map(|_| rng.gen_range(0..256u32) as u8)
+            .collect();
+
+        let mut payload = Vec::new();
+        encode_response(&Response::Delta { seq, delta: delta.clone() }, &mut payload);
+        let mut expected = prior.clone();
+        expected.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        expected.extend_from_slice(&payload);
+
+        let mut got = prior;
+        encode_delta_frame(seq, &delta, &mut got);
+        prop_assert_eq!(got, expected);
     }
 }
 

@@ -76,7 +76,7 @@ mod service;
 pub mod wire;
 
 pub use error::ServeError;
-pub use log::{LogTail, SeqEntry, SharedLog};
+pub use log::{LogTail, PublishWatch, SeqEntry, SharedLog};
 pub use reader::ReaderHandle;
 pub use service::{
     BatchTicket, IngestHandle, MisService, ServeConfig, ServiceHandle, ServiceReport, Ticket,

@@ -13,11 +13,18 @@
 //! remaining entries — so slow readers cost a resync, never unbounded
 //! log growth, and a brand-new reader is just a reader at sequence 0
 //! resyncing like any other.
+//!
+//! Consumers that block until something is published (the network
+//! layer's fan-out hubs) register a [`PublishWatch`]: `publish` unparks
+//! every watching thread that has declared interest, so a waiting
+//! consumer needs no timer.
 
 use dynamis_core::{MirrorError, SolutionDelta, SolutionMirror};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::{self, Thread};
+use std::time::Instant;
 
 /// One broadcast entry: the net solution change of one applied batch.
 #[derive(Debug)]
@@ -27,6 +34,10 @@ pub struct SeqEntry {
     pub seq: u64,
     /// The net solution change it broadcasts.
     pub delta: SolutionDelta,
+    /// When it was published — stamped only while stage timing is
+    /// enabled ([`dynamis_obs::mark`]), so consumers can record
+    /// commit-to-delivery latency.
+    pub committed_at: Option<Instant>,
 }
 
 /// What [`SharedLog::tail_after`] found for a consumer at a given
@@ -85,6 +96,50 @@ pub struct SharedLog {
     /// caught-up reader answer "anything new?" with one atomic load —
     /// the query fast path takes **no lock at all**.
     head: AtomicU64,
+    /// Threads to unpark on publish (see [`PublishWatch`]).
+    watchers: Mutex<Vec<Arc<Watcher>>>,
+}
+
+/// One registered consumer thread and whether it wants publish wakes.
+#[derive(Debug)]
+struct Watcher {
+    thread: Thread,
+    interested: AtomicBool,
+}
+
+/// A consumer thread's registration for publish wake-ups, made with
+/// [`SharedLog::watch`]. While interest is set, every
+/// [`SharedLog::publish`] unparks the thread; dropping the watch
+/// deregisters it.
+///
+/// The wait protocol that never loses a publish: set interest, then
+/// check [`SharedLog::head`], and only if nothing new arrived call
+/// [`std::thread::park`]. Both the interest flag and the head are
+/// `SeqCst`, so either the check sees the new head or the publisher
+/// sees the flag and unparks; an unpark that lands between the check
+/// and `park` leaves the thread's park token set and `park` returns at
+/// once.
+#[derive(Debug)]
+pub struct PublishWatch {
+    log: Arc<SharedLog>,
+    watcher: Arc<Watcher>,
+}
+
+impl PublishWatch {
+    /// Declares whether the watching thread wants to be unparked by
+    /// publishes. Set it before the last emptiness check ahead of
+    /// parking (see the type docs).
+    pub fn set_interest(&self, on: bool) {
+        self.watcher.interested.store(on, Ordering::SeqCst);
+    }
+}
+
+impl Drop for PublishWatch {
+    fn drop(&mut self) {
+        if let Ok(mut ws) = self.log.watchers.lock() {
+            ws.retain(|w| !Arc::ptr_eq(w, &self.watcher));
+        }
+    }
 }
 
 impl SharedLog {
@@ -95,33 +150,79 @@ impl SharedLog {
             inner: Mutex::new(LogInner::default()),
             window: window.max(1),
             head: AtomicU64::new(0),
+            watchers: Mutex::new(Vec::new()),
         }
     }
 
-    /// Appends one delta as the next sequence number and folds the
-    /// overflow into the checkpoint. Writer-side only. Empty deltas are
-    /// legal entries.
-    pub fn publish(&self, delta: SolutionDelta) -> u64 {
-        let mut g = self.inner.lock().unwrap();
-        g.head += 1;
-        let seq = g.head;
-        g.entries.push_back(Arc::new(SeqEntry { seq, delta }));
-        while g.entries.len() > self.window {
-            let oldest = g.entries.pop_front().unwrap();
-            g.base
-                .apply(&oldest.delta)
-                .expect("log entries are sequential and exact");
-            g.base_seq = oldest.seq;
+    /// Registers the calling thread for publish wake-ups, initially
+    /// without interest (see [`PublishWatch`]).
+    pub fn watch(self: &Arc<Self>) -> PublishWatch {
+        let watcher = Arc::new(Watcher {
+            thread: thread::current(),
+            interested: AtomicBool::new(false),
+        });
+        self.watchers
+            .lock()
+            .expect("log watcher list poisoned")
+            .push(Arc::clone(&watcher));
+        PublishWatch {
+            log: Arc::clone(self),
+            watcher,
         }
-        // Published under the lock: a reader that observes the new head
-        // and then takes the lock is guaranteed to find the entry.
-        self.head.store(seq, Ordering::Release);
+    }
+
+    /// Appends one delta as the next sequence number, folds the
+    /// overflow into the checkpoint, and wakes every interested
+    /// [`PublishWatch`]. Writer-side only. Empty deltas are legal
+    /// entries.
+    pub fn publish(&self, delta: SolutionDelta) -> u64 {
+        let committed_at = dynamis_obs::mark();
+        let seq = {
+            let mut g = self.inner.lock().unwrap();
+            g.head += 1;
+            let seq = g.head;
+            g.entries.push_back(Arc::new(SeqEntry {
+                seq,
+                delta,
+                committed_at,
+            }));
+            while g.entries.len() > self.window {
+                let oldest = g.entries.pop_front().unwrap();
+                g.base
+                    .apply(&oldest.delta)
+                    .expect("log entries are sequential and exact");
+                g.base_seq = oldest.seq;
+            }
+            // Published under the lock: a reader that observes the new
+            // head and then takes the lock is guaranteed to find the
+            // entry. SeqCst pairs with `PublishWatch::set_interest`: a
+            // watcher that set interest and then read the old head is
+            // ordered before this store, so the flag load below sees
+            // its interest and unparks it.
+            self.head.store(seq, Ordering::SeqCst);
+            seq
+        };
+        // Outside the log lock, so a woken consumer does not contend
+        // with the publisher. `unpark` on a running thread is one
+        // atomic swap.
+        for w in self
+            .watchers
+            .lock()
+            .expect("log watcher list poisoned")
+            .iter()
+        {
+            if w.interested.load(Ordering::SeqCst) {
+                w.thread.unpark();
+            }
+        }
         seq
     }
 
-    /// Newest published sequence number (lock-free).
+    /// Newest published sequence number (lock-free). `SeqCst`, so a
+    /// [`PublishWatch`] holder's check after `set_interest` is ordered
+    /// against `publish`.
     pub fn head(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
+        self.head.load(Ordering::SeqCst)
     }
 
     /// Re-bases a **virgin** log at `seq` with `solution` as its base
