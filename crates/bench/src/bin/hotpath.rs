@@ -11,8 +11,9 @@
 //! * allocator calls per update (via the tracking global allocator),
 //! * bookkeeping hash probes per update — **0 by construction** for the
 //!   intrusive layout, one-or-more per count transition for the baseline,
-//! * entry-point pair-index probes per update (intrusive engines only;
-//!   the baseline buries them inside `insert_edge`/`remove_edge`),
+//! * adjacency entries read per update by entry-point edge lookups
+//!   (intrusive engines only; the baseline buries its lookups inside
+//!   `insert_edge`/`remove_edge`),
 //! * final solution size and approximate heap bytes.
 //!
 //! Writes `BENCH_PR1.json` (override with `DYNAMIS_BENCH_OUT`); honors
@@ -37,7 +38,7 @@ struct EngineReport {
     allocs_per_update: f64,
     hot_hash_probes: u64,
     hot_probes_per_update: f64,
-    entry_probes_per_update: f64,
+    entry_scan_steps_per_update: f64,
     solution_size: usize,
     heap_bytes: usize,
     build_secs: f64,
@@ -77,7 +78,7 @@ where
         allocs_per_update: allocs as f64 / n_ups,
         hot_hash_probes: hot,
         hot_probes_per_update: hot as f64 / n_ups,
-        entry_probes_per_update: e.entry_probes().map_or(f64::NAN, |p| p as f64 / n_ups),
+        entry_scan_steps_per_update: e.entry_scan_steps().map_or(f64::NAN, |p| p as f64 / n_ups),
         solution_size: e.size(),
         heap_bytes: e.heap_bytes(),
         build_secs,
@@ -88,7 +89,7 @@ where
 /// Uniform access to the probe counters across the two layouts.
 trait HotProbes: DynamicMis {
     fn hot_probes(&self) -> u64;
-    fn entry_probes(&self) -> Option<u64> {
+    fn entry_scan_steps(&self) -> Option<u64> {
         None
     }
 }
@@ -97,8 +98,8 @@ impl HotProbes for DyOneSwap {
     fn hot_probes(&self) -> u64 {
         self.stats().hot_hash_probes
     }
-    fn entry_probes(&self) -> Option<u64> {
-        Some(self.stats().entry_hash_probes)
+    fn entry_scan_steps(&self) -> Option<u64> {
+        Some(self.stats().entry_scan_steps)
     }
 }
 
@@ -106,8 +107,8 @@ impl HotProbes for DyTwoSwap {
     fn hot_probes(&self) -> u64 {
         self.stats().hot_hash_probes
     }
-    fn entry_probes(&self) -> Option<u64> {
-        Some(self.stats().entry_hash_probes)
+    fn entry_scan_steps(&self) -> Option<u64> {
+        Some(self.stats().entry_scan_steps)
     }
 }
 
@@ -176,7 +177,7 @@ fn main() {
         "updates/s",
         "allocs/upd",
         "hot probes/upd",
-        "entry probes/upd",
+        "entry scan steps/upd",
         "|I|",
         "heap MiB",
     ]);
@@ -187,10 +188,10 @@ fn main() {
             format!("{:.0}", r.updates_per_sec),
             format!("{:.3}", r.allocs_per_update),
             format!("{:.2}", r.hot_probes_per_update),
-            if r.entry_probes_per_update.is_nan() {
+            if r.entry_scan_steps_per_update.is_nan() {
                 "-".to_string()
             } else {
-                format!("{:.2}", r.entry_probes_per_update)
+                format!("{:.2}", r.entry_scan_steps_per_update)
             },
             r.solution_size.to_string(),
             format!("{:.1}", r.heap_bytes as f64 / (1024.0 * 1024.0)),
@@ -245,7 +246,7 @@ fn main() {
             json,
             "    {{\"name\": \"{}\", \"layout\": \"{}\", \"updates_per_sec\": {:.1}, \
              \"allocs_per_update\": {:.4}, \"hot_hash_probes\": {}, \
-             \"hot_probes_per_update\": {:.4}, \"entry_probes_per_update\": {}, \
+             \"hot_probes_per_update\": {:.4}, \"entry_scan_steps_per_update\": {}, \
              \"solution_size\": {}, \"heap_bytes\": {}, \"build_secs\": {:.3}, \
              \"run_secs\": {:.3}}}{}",
             r.name,
@@ -254,10 +255,10 @@ fn main() {
             r.allocs_per_update,
             r.hot_hash_probes,
             r.hot_probes_per_update,
-            if r.entry_probes_per_update.is_nan() {
+            if r.entry_scan_steps_per_update.is_nan() {
                 "null".to_string()
             } else {
-                format!("{:.4}", r.entry_probes_per_update)
+                format!("{:.4}", r.entry_scan_steps_per_update)
             },
             r.solution_size,
             r.heap_bytes,

@@ -27,13 +27,15 @@
 //! ([`dynamis_graph::EdgeHandle`] and the `(neighbor, mirror)` pairs of
 //! [`DynamicGraph::half_edges`]): every count transition, bucket
 //! relocation, and swap-search membership test is a dense-vector or
-//! intrusive-slot operation. The pair-keyed edge index is touched only
+//! intrusive-slot operation. An edge is looked up by its endpoints only
 //! at update *entry points* — resolving the `(u, v)` named by the update
-//! to a handle, and keeping the index itself alive — which costs O(1)
-//! probes per edge update independent of vertex degrees.
-//! [`EngineStats::entry_hash_probes`] counts those;
-//! [`EngineStats::hot_hash_probes`] counts probes from the transition
-//! bookkeeping itself and stays 0 by construction.
+//! to a handle, or checking an insertion for a duplicate — by scanning
+//! the shorter of the two adjacency lists: O(min(deg u, deg v)) entries
+//! per edge update, inside the paper's per-update cost, since the
+//! adjustment that follows walks a neighborhood anyway.
+//! [`EngineStats::entry_scan_steps`] counts the entries those lookups
+//! read; [`EngineStats::hot_hash_probes`] counts hash probes from the
+//! transition bookkeeping itself and stays 0 by construction.
 
 use crate::delta::SolutionDelta;
 use crate::error::EngineError;
@@ -77,10 +79,11 @@ pub struct EngineStats {
     pub perturbations: u64,
     /// Maximality repairs (MoveIn of a freed vertex).
     pub repairs: u64,
-    /// Pair-index probes at update entry points (resolving the `(u, v)`
-    /// an update names, and index upkeep): O(1) per edge update, one per
-    /// deleted edge on vertex removal.
-    pub entry_hash_probes: u64,
+    /// Adjacency entries read by entry-point edge lookups (resolving the
+    /// `(u, v)` an update names, and the duplicate check on insertion):
+    /// at most min(deg u, deg v) per edge. Vertex removal looks nothing
+    /// up.
+    pub entry_scan_steps: u64,
     /// Hash probes issued by count-transition bookkeeping on the update
     /// inner loop. The intrusive half-edge layout leaves no probe site,
     /// so this is 0 by construction — reported so the `hotpath` bench
@@ -98,9 +101,7 @@ impl EngineStats {
             two_swaps: self.two_swaps.wrapping_sub(before.two_swaps),
             perturbations: self.perturbations.wrapping_sub(before.perturbations),
             repairs: self.repairs.wrapping_sub(before.repairs),
-            entry_hash_probes: self
-                .entry_hash_probes
-                .wrapping_sub(before.entry_hash_probes),
+            entry_scan_steps: self.entry_scan_steps.wrapping_sub(before.entry_scan_steps),
             hot_hash_probes: self.hot_hash_probes.wrapping_sub(before.hot_hash_probes),
         }
     }
@@ -112,7 +113,7 @@ impl EngineStats {
         self.two_swaps += other.two_swaps;
         self.perturbations += other.perturbations;
         self.repairs += other.repairs;
-        self.entry_hash_probes += other.entry_hash_probes;
+        self.entry_scan_steps += other.entry_scan_steps;
         self.hot_hash_probes += other.hot_hash_probes;
     }
 }
@@ -580,15 +581,17 @@ impl SwapEngine {
     }
 
     fn insert_edge(&mut self, a: u32, b: u32) -> Result<(), EngineError> {
-        // One existence probe + one index insert — the only hash work in
-        // this update. Validation is fused into the insertion: the graph
-        // rejects self-loops and dead endpoints before mutating, and a
-        // `None` handle means the edge already existed.
+        // The duplicate check scans the shorter adjacency list — the only
+        // lookup in this update. Validation is fused into the insertion:
+        // the graph rejects self-loops and dead endpoints before
+        // mutating, and a `None` handle means the edge already existed.
+        let scan = self.st.g.degree(a).min(self.st.g.degree(b)) as u64;
         let handle = self.st.g.insert_edge_handle(a, b)?;
         let Some(h) = handle else {
             return Err(EngineError::DuplicateEdge(a, b));
         };
-        self.stats.entry_hash_probes += 2;
+        // A new edge is absent from the list, so the scan read all of it.
+        self.stats.entry_scan_steps += scan;
         match (self.st.in_solution(a), self.st.in_solution(b)) {
             (false, false) => {} // counts unchanged; no new swap can appear
             (true, false) => {
@@ -640,8 +643,8 @@ impl SwapEngine {
     }
 
     fn remove_edge(&mut self, a: u32, b: u32) -> Result<(), EngineError> {
-        // Resolve the named edge to half-edge positions: one probe, plus
-        // one for the index delete inside `remove_edge_at`.
+        // Resolve the named edge to half-edge positions by scanning the
+        // shorter adjacency list.
         let Some(h) = self.st.g.edge_handle(a, b) else {
             // Cold path: classify the rejection through the shared
             // validator so the error semantics cannot drift from the
@@ -651,7 +654,14 @@ impl SwapEngine {
                 Ok(()) => Err(EngineError::MissingEdge(a, b)),
             };
         };
-        self.stats.entry_hash_probes += 2;
+        // `edge_handle` scans `a`'s list on a degree tie and stops at
+        // the found position.
+        let scanned = if self.st.g.degree(a) <= self.st.g.degree(b) {
+            h.pos_u
+        } else {
+            h.pos_v
+        };
+        self.stats.entry_scan_steps += scanned as u64 + 1;
         match (self.st.in_solution(a), self.st.in_solution(b)) {
             (true, true) => unreachable!("solution vertices are never adjacent"),
             (true, false) => {
@@ -691,7 +701,7 @@ impl SwapEngine {
             } else if self.k2 {
                 // Case b: direct scan of ¯I₂({x, y}) for a third vertex w
                 // non-adjacent to both — adjacency tested through stamps
-                // of N(u), N(v) instead of pair-index probes.
+                // of N(u), N(v) instead of one edge lookup per w.
                 let (x, y) = (pu.min(pv), pu.max(pv));
                 self.stamp.clear();
                 for w in self.st.g.neighbors(u) {
@@ -756,7 +766,8 @@ impl SwapEngine {
         self.st.ensure_capacity(cap);
         self.c1.ensure_capacity(cap);
         for &n in neighbors {
-            self.stats.entry_hash_probes += 2;
+            // The duplicate check scans the shorter list in full.
+            self.stats.entry_scan_steps += self.st.g.degree(v).min(self.st.g.degree(n)) as u64;
             let h = self
                 .st
                 .g
@@ -781,8 +792,6 @@ impl SwapEngine {
         if !self.st.g.is_alive(v) {
             return Err(GraphError::VertexNotFound(v).into());
         }
-        // The graph deletes one pair-index entry per incident edge.
-        self.stats.entry_hash_probes += self.st.g.degree(v) as u64;
         if self.st.in_solution(v) {
             self.st.set_out(v);
             // Unregister v from each neighbor's I(u) — through the mirror

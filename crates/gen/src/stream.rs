@@ -92,12 +92,13 @@ impl UpdateStream {
     /// Builds a stream over a copy of `start`.
     pub fn new(start: &DynamicGraph, cfg: StreamConfig, seed: u64) -> Self {
         assert!(cfg.total() > 0, "at least one operation weight must be set");
-        let mut edge_vec = Vec::with_capacity(start.num_edges());
+        // Sorted, so the deletion draws depend on the edge set only, not
+        // on the order `DynamicGraph::edges` happens to walk it in.
+        let mut edge_vec: Vec<u64> = start.edges().map(|(u, v)| pair_key(u, v)).collect();
+        edge_vec.sort_unstable();
         let mut edge_pos = FxHashMap::default();
-        for (u, v) in start.edges() {
-            let k = pair_key(u, v);
-            edge_pos.insert(k, edge_vec.len() as u32);
-            edge_vec.push(k);
+        for (i, &k) in edge_vec.iter().enumerate() {
+            edge_pos.insert(k, i as u32);
         }
         let mut alive = IndexedBag::with_capacity(start.capacity());
         for v in start.vertices() {

@@ -4,16 +4,17 @@
 //! workspace builds on:
 //!
 //! * [`DynamicGraph`] — an unweighted, undirected graph supporting
-//!   vertex/edge insertion and deletion in O(1) amortized time per edge
-//!   update. Edge deletion is constant-time thanks to *mirror-indexed*
-//!   adjacency lists (each half-edge stores the position of its reciprocal
-//!   half-edge). Every half-edge additionally carries an intrusive
-//!   *payload slot* — the paper's "pointer to v ∈ I(u) recorded in edge
-//!   (v, u)" — giving maintenance frameworks O(1), hash-free membership
-//!   lists over each vertex's neighborhood (`mark_neighbor` /
-//!   `unmark_neighbor` / `marked_neighbors`). A global pair index hashed
-//!   with [`FxHasher`] resolves `(u, v)` entry points to [`EdgeHandle`]
-//!   positions; the per-neighbor inner loops never touch it.
+//!   vertex/edge insertion and deletion in O(min(deg u, deg v)) amortized
+//!   time per edge update. Once an edge is located, deleting it is
+//!   constant-time thanks to *mirror-indexed* adjacency lists (each
+//!   half-edge stores the position of its reciprocal half-edge). Every
+//!   half-edge additionally carries an intrusive *payload slot* — the
+//!   paper's "pointer to v ∈ I(u) recorded in edge (v, u)" — giving
+//!   maintenance frameworks O(1), hash-free membership lists over each
+//!   vertex's neighborhood (`mark_neighbor` / `unmark_neighbor` /
+//!   `marked_neighbors`). There is no global edge index: `(u, v)` entry
+//!   points resolve to [`EdgeHandle`] positions by scanning the shorter
+//!   adjacency list; the per-neighbor inner loops never look an edge up.
 //! * [`CsrGraph`] — an immutable compressed-sparse-row snapshot used by the
 //!   static algorithms (exact solver, local search) and as a fast bulk-load
 //!   format.

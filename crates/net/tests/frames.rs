@@ -95,7 +95,7 @@ proptest! {
                 two_swaps: rng.gen(),
                 perturbations: rng.gen(),
                 repairs: rng.gen(),
-                entry_hash_probes: rng.gen(),
+                entry_scan_steps: rng.gen(),
                 hot_hash_probes: rng.gen(),
             },
         };

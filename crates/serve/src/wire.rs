@@ -335,7 +335,7 @@ fn stats_fields(s: &EngineStats) -> [u64; 7] {
         s.two_swaps,
         s.perturbations,
         s.repairs,
-        s.entry_hash_probes,
+        s.entry_scan_steps,
         s.hot_hash_probes,
     ]
 }
@@ -367,7 +367,7 @@ pub fn take_delta(r: &mut Reader<'_>) -> Result<SolutionDelta, WireError> {
             two_swaps: f[2],
             perturbations: f[3],
             repairs: f[4],
-            entry_hash_probes: f[5],
+            entry_scan_steps: f[5],
             hot_hash_probes: f[6],
         },
     })

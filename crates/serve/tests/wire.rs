@@ -39,7 +39,7 @@ fn arb_delta(rng: &mut SmallRng) -> SolutionDelta {
             two_swaps: rng.gen(),
             perturbations: rng.gen(),
             repairs: rng.gen(),
-            entry_hash_probes: rng.gen(),
+            entry_scan_steps: rng.gen(),
             hot_hash_probes: rng.gen(),
         },
     }

@@ -139,7 +139,7 @@ fn snap_file_ingests_into_a_dynamic_graph() {
 }
 
 /// The binary graph layout as first specified, written the obvious
-/// way: collect the edge index's keys and sort them globally. The
+/// way: collect every edge and sort them globally. The
 /// streamed encoder must reproduce these bytes exactly.
 fn reference_encode(g: &DynamicGraph) -> Vec<u8> {
     let slots = g.capacity();
