@@ -1,7 +1,7 @@
 //! # dynamis-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's §V (see DESIGN.md for the
-//! full index):
+//! One binary per table/figure of the paper's §V (README.md's
+//! "Reproduction" section lists the dataset and baseline substitutions):
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -18,10 +18,27 @@
 //! | `worstcase` | Theorem 3 families |
 //! | `plbcheck`  | Theorem 4 / Lemma 2 constants on every dataset |
 //!
+//! Three extension experiments probe claims the paper makes in prose:
+//!
+//! | binary | measures |
+//! |---|---|
+//! | `initsens` | sensitivity to the quality of the initial solution |
+//! | `restart`  | recompute-from-scratch (`Restart`) swept over its interval |
+//! | `temporal` | uniform vs. sliding-window vs. bursty update streams |
+//!
 //! Beyond the paper, `hotpath` measures the update-loop substrate itself:
 //! intrusive half-edge handles vs. the preserved [`hash_baseline`]
 //! layout, reporting updates/sec, allocations/update, and hash
-//! probes/update into `BENCH_PR1.json`.
+//! probes/update into `BENCH_PR1.json`. The system binaries measure the
+//! layers above the engine:
+//!
+//! | binary | measures |
+//! |---|---|
+//! | `serve`     | single-writer service vs. a mutex-wrapped engine |
+//! | `net`       | loopback server: writer round trips under many subscribers |
+//! | `net_scale` | hub fan-out, filtered subscriptions, snapshot cold-start |
+//! | `obs`       | telemetry overhead guard (timers on vs. off, ≤ 3%) |
+//! | `durable`   | WAL overhead guard (group commit vs. no WAL, ≤ 15%) |
 //!
 //! Environment knobs: `DYNAMIS_FAST=1` restricts each experiment to a
 //! representative subset of datasets; `DYNAMIS_TIME_LIMIT_SECS` overrides

@@ -96,6 +96,7 @@ restart recovers the pre-crash state (prints `RECOVERED seq=N replayed=M`
 before LISTENING, so old subscribers resume gap-free); --wal-sync picks
 when appends reach disk (batch = group commit, default; always = fsync
 before every ack, the kill -9-proof setting; never = test/bench only);
+--wal-sync and --checkpoint-every are errors without --data-dir;
 recover inspects such a directory offline — verify (default) scans and
 replays in memory without mutating, replay repairs torn tails and writes
 a fresh compacting checkpoint";
@@ -581,6 +582,16 @@ fn cmd_net_serve(args: &[String]) -> Result<(), String> {
     if !positional.is_empty() {
         return Err("net-serve takes only flags".into());
     }
+    // Durability flags without a directory would serve a volatile
+    // stack the caller did not ask for; refuse before building anything.
+    if data_dir.is_none() {
+        if wal_sync.is_some() {
+            return Err("--wal-sync needs --data-dir".into());
+        }
+        if checkpoint_every.is_some() {
+            return Err("--checkpoint-every needs --data-dir".into());
+        }
+    }
     if metrics.as_deref() == Some("true") {
         dynamis::obs::set_enabled(true);
     }
@@ -1049,6 +1060,22 @@ mod tests {
                     Ok(()) => panic!("{cmd} accepted {flag}"),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn durability_flags_need_a_data_dir() {
+        // Rejected before the graph is built, so no server starts.
+        for (flag, value) in [("--wal-sync", "always"), ("--checkpoint-every", "500")] {
+            let args: Vec<String> = ["net-serve", "--dataset", "Email", flag, value]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            assert_eq!(
+                dispatch(&args),
+                Err(format!("{flag} needs --data-dir")),
+                "{flag}"
+            );
         }
     }
 

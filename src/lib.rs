@@ -16,7 +16,6 @@
 //! | [`statics`] | greedy, ARW local search, exact branch-and-reduce, reducing–peeling |
 //! | [`baselines`] | DyARW and the DGOneDIS/DGTwoDIS dependency-index emulation |
 //! | [`gen`] | graph generators, update streams, PLB estimation, dataset registry |
-//! | [`problems`] | vertex cover, clique, coloring, and the intro's applications (map labeling, collusion detection, interval scheduling) |
 //! | [`serve`] | concurrent serving layer: single-writer engine thread, batched ingest, delta-broadcast readers |
 //! | [`net`] | network front end: length-prefixed wire protocol, per-client sessions, delta subscriptions, admission control |
 //! | [`durable`] | crash durability: segmented checksummed WAL of the accepted stream, snapshot checkpoints, torn-tail recovery |
@@ -60,7 +59,6 @@ pub use dynamis_gen as gen;
 pub use dynamis_graph as graph;
 pub use dynamis_net as net;
 pub use dynamis_obs as obs;
-pub use dynamis_problems as problems;
 pub use dynamis_serve as serve;
 pub use dynamis_static as statics;
 
