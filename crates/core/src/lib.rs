@@ -108,7 +108,7 @@ use dynamis_graph::{DynamicGraph, Update};
 /// (the two paper engines, the generic-k engine, and the baselines in
 /// `dynamis-baselines`). Engines are constructed with an
 /// [`EngineBuilder`] and driven with fallible, delta-reporting updates.
-pub trait DynamicMis {
+pub trait DynamicMis: Send {
     /// Algorithm name as printed in the paper's tables.
     fn name(&self) -> &'static str;
 

@@ -3,8 +3,8 @@
 //! from it.
 //!
 //! The phases exist because serve engine factories run *inside* the
-//! writer thread, while the recovered sequence number must be known
-//! *before* the service spawns (it re-bases the broadcast log):
+//! service's writer thread, while the recovered sequence number must be
+//! known *before* the service spawns (it re-bases the broadcast log):
 //!
 //! 1. [`prepare`] — on the caller thread: initialize or scan the
 //!    directory, apply repairs, and surface [`Prepared::recovered_seq`].

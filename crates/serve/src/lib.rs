@@ -1,36 +1,52 @@
 //! # dynamis-serve — a concurrent serving layer for dynamic MaxIS
 //!
 //! Turns any [`DynamicMis`](dynamis_core::DynamicMis) engine into a
-//! concurrently queryable service, using only `std`. The architecture
-//! is single-writer / many-readers, built on the session API's delta
-//! machinery instead of locks around the engine:
+//! concurrently queryable service, using only `std`. Writes apply one
+//! *round* at a time; reads never touch the engine. The architecture
+//! is built on the session API's delta machinery instead of locks
+//! around the engine:
 //!
 //! ```text
-//!  submit / submit_batch              ┌──────────────────────────┐
-//!  (tickets carry per-update         │  writer thread            │
-//!   Result<seq, EngineError>)        │  ┌────────────────────┐   │
-//! ──────► bounded MPSC queue ───────►│  │ engine (DynamicMis)│   │
-//!          (backpressure)    adaptive│  └────────────────────┘   │
-//!                            batching│   try_apply_batch, then   │
-//!                                    │   drain_delta()           │
-//!                                    └───────────┬──────────────┘
-//!                                                │ publish(SolutionDelta)
-//!                                    ┌───────────▼──────────────┐
-//!                                    │ sequenced delta log       │
-//!                                    │ (Arc entries + checkpoint)│
-//!                                    └───┬─────────┬────────────┘
-//!                              catch up  │         │  catch up (lazy, on query)
-//!                          ┌─────────────▼──┐   ┌──▼─────────────┐
-//!                          │ ReaderHandle    │   │ ReaderHandle   │ …
-//!                          │ SolutionMirror  │   │ SolutionMirror │
-//!                          └────────────────┘   └────────────────┘
+//!  submit / try_submit / submit_batch              submit_detached
+//!  (tickets carry per-update Result<seq, EngineError>)     │
+//!       │                                                  │
+//!       ├── service idle ──► round on the submitting       │
+//!       │   (no round running,  thread: verdict known      │
+//!       │    nothing queued)    when it returns ──────┐    │
+//!       │                                             │    │
+//!       └── a round is running ──► bounded queue ◄────┼────┘
+//!                                  (backpressure)     │
+//!                                        │ adaptive   │
+//!                                        ▼ batching   │
+//!                              dynamis-serve-writer   │
+//!                              (burst-sized rounds)   │
+//!                                        │            │
+//!                                        ▼            ▼
+//!                   one round at a time (`busy` flag): try_apply_batch,
+//!                   then drain_delta() ──► publish(SolutionDelta)
+//!                                        │
+//!                            ┌───────────▼──────────────┐
+//!                            │ sequenced delta log       │
+//!                            │ (Arc entries + checkpoint)│
+//!                            └───┬─────────┬────────────┘
+//!                      catch up  │         │  catch up (lazy, on query)
+//!                  ┌─────────────▼──┐   ┌──▼─────────────┐
+//!                  │ ReaderHandle    │   │ ReaderHandle   │ …
+//!                  │ SolutionMirror  │   │ SolutionMirror │
+//!                  └────────────────┘   └────────────────┘
 //! ```
 //!
-//! * **One writer thread** owns the engine and drains the ingest queue
+//! * **One round at a time** holds the engine and applies a burst
+//!   through [`DynamicMis::try_apply_batch`](dynamis_core::DynamicMis::try_apply_batch)
 //!   with *adaptive batching*: whatever is queued rides along, up to a
-//!   burst cap, through [`DynamicMis::try_apply_batch`](dynamis_core::DynamicMis::try_apply_batch)
-//!   — so queue pressure automatically amortizes per-update overhead
-//!   (one deferred swap-search drain and one broadcast per burst).
+//!   burst cap — so queue pressure automatically amortizes per-update
+//!   overhead (one deferred swap-search drain and one broadcast per
+//!   burst). A ticketed submission that finds the service idle runs
+//!   its round on the submitting thread, so a lone update pays no
+//!   thread hand-off. The backlog and every fire-and-forget submission
+//!   go to the `dynamis-serve-writer` thread, which drains them in
+//!   bursts. The engine crosses threads, so `DynamicMis` requires
+//!   `Send`.
 //! * **Per-update verdicts** reach the caller through tickets: an
 //!   invalid update inside a burst is rejected with its typed
 //!   [`EngineError`](dynamis_core::EngineError) while the rest of the
@@ -39,8 +55,8 @@
 //!   private [`SolutionMirror`](dynamis_core::SolutionMirror) and
 //!   catches up lazily from the sequence-numbered broadcast log; a
 //!   reader that falls behind the log's bounded window re-seeds from
-//!   the log's checkpoint. Queries are wait-free with respect to the
-//!   writer apart from an `Arc`-clone critical section.
+//!   the log's checkpoint. Queries are wait-free with respect to
+//!   rounds apart from an `Arc`-clone critical section.
 //! * **Graceful shutdown** flushes the queue: everything submitted
 //!   before [`ServiceHandle::shutdown`] is applied and broadcast, and
 //!   the final [`ServiceReport`] carries the engine's materialized

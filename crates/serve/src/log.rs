@@ -1,7 +1,7 @@
-//! The sequenced delta log: the broadcast channel between the writer
-//! thread and every reader.
+//! The sequenced delta log: the broadcast channel between the thread
+//! that applies a round and every reader.
 //!
-//! The writer publishes each applied batch's net [`SolutionDelta`] as
+//! Each round publishes its applied batch's net [`SolutionDelta`] as
 //! an `Arc`-shared, sequence-numbered entry. Readers catch up lazily:
 //! they clone the `Arc`s of the entries they have not seen (a short
 //! critical section on the log mutex — **never** any engine state) and
@@ -86,7 +86,8 @@ pub(crate) struct CatchUp {
 ///
 /// This is the transport between one delta producer and any number of
 /// mirror-holding consumers. [`crate::MisService`] owns one for the
-/// whole engine and publishes to it from its writer thread.
+/// whole engine and publishes to it once per round, from whichever
+/// thread runs the round.
 #[derive(Debug)]
 pub struct SharedLog {
     inner: Mutex<LogInner>,

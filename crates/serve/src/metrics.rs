@@ -10,7 +10,7 @@ use dynamis_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, S
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
-/// The cached handles the writer, the ingest handles, and the readers
+/// The cached handles the rounds, the ingest handles, and the readers
 /// record through.
 #[derive(Debug)]
 pub(crate) struct ServiceMetrics {
@@ -20,7 +20,7 @@ pub(crate) struct ServiceMetrics {
     pub submitted: Arc<Counter>,
     /// `serve_queue_depth`: updates admitted and not yet handed to the
     /// engine. The gauge is the live count itself (added on submit,
-    /// subtracted per writer round), so admission control and every
+    /// subtracted per round), so admission control and every
     /// snapshot read the same value.
     pub queue_depth: Arc<Gauge>,
     /// `serve_applied_total`.
@@ -28,7 +28,7 @@ pub(crate) struct ServiceMetrics {
     /// `serve_rejected_total`: each rejection's typed error went to its
     /// ticket.
     pub rejected: Arc<Counter>,
-    /// `serve_batch_size`: one sample per merged batch the writer fed
+    /// `serve_batch_size`: one sample per merged batch a round fed
     /// through `try_apply_batch` (its count is the batch count).
     pub batch_size: Arc<Histogram>,
     /// `serve_resyncs_total`: reader re-seeds from the log checkpoint.
@@ -42,7 +42,7 @@ pub(crate) struct ServiceMetrics {
     /// Per-reader last-synced sequence numbers (weak: a dropped reader
     /// deregisters itself by virtue of the Arc dying).
     reader_slots: Mutex<Vec<Weak<AtomicU64>>>,
-    /// The four single-writer latency stages (process-global
+    /// The four round latency stages (process-global
     /// histograms, like every stage timer).
     pub ingest_wait: Stage,
     pub batch_drain: Stage,

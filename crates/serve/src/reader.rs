@@ -13,7 +13,7 @@ use std::sync::Arc;
 /// sequenced delta log. Queries first *sync* — apply every delta
 /// published since the handle last looked, cloning only `Arc`s under
 /// the log mutex — and then answer from the mirror. A reader therefore
-/// never touches the engine, never blocks the writer for more than an
+/// never touches the engine, never blocks a round for more than an
 /// `Arc` clone, and never rematerializes the solution from scratch
 /// (except when re-seeding after falling behind the log's retained
 /// window).

@@ -1,5 +1,23 @@
-//! The service: one writer thread owning the engine, an MPSC ingest
-//! queue with adaptive batching, and handles for submitting work.
+//! The service: an engine behind a bounded ingest queue with adaptive
+//! batching, and handles for submitting work.
+//!
+//! One *round* at a time holds the engine: it takes a burst of commands,
+//! feeds them through `try_apply_batch`, publishes the net delta and
+//! resolves the tickets. Two kinds of thread run rounds:
+//!
+//! * **The submitting thread**, when a ticketed submission finds the
+//!   service idle (no round running, nothing queued). It runs the round
+//!   itself and returns with its verdict already known — no thread
+//!   hand-off, no wake-up on the way back.
+//! * **The `dynamis-serve-writer` thread**, for everything else:
+//!   submissions that arrive while a round runs, and every
+//!   fire-and-forget submission. Under load it drains full bursts.
+//!
+//! A `busy` flag under the queue lock makes the two mutually exclusive,
+//! so sequence numbers keep one total order and are published in it. A
+//! submitter runs at most its own round; any backlog that formed
+//! meanwhile goes to the writer. The engine therefore crosses threads,
+//! which is why [`DynamicMis`] requires `Send`.
 
 use crate::error::ServeError;
 use crate::log::SharedLog;
@@ -8,7 +26,10 @@ use crate::reader::ReaderHandle;
 use dynamis_core::{DynamicMis, EngineBuilder, EngineError};
 use dynamis_graph::Update;
 use dynamis_obs::{MetricsRegistry, MetricsSnapshot};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::collections::VecDeque;
+use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
@@ -18,11 +39,11 @@ pub struct ServeConfig {
     /// Ingest-queue capacity, in *updates* (a batch counts its length;
     /// an oversized batch is admitted alone into an empty queue). A
     /// full queue blocks `submit` and fails `try_submit` — the
-    /// service's backpressure. The gate uses hysteresis: the writer
-    /// frees a whole drained round at once, so a saturating feeder
+    /// service's backpressure. The gate uses hysteresis: each round
+    /// frees its whole drained burst at once, so a saturating feeder
     /// parks once per round, not once per update.
     pub queue_updates: usize,
-    /// Maximum updates merged into one engine batch. The writer drains
+    /// Maximum updates merged into one engine batch. A round drains
     /// whatever is queued up to this burst, so queue pressure
     /// automatically amortizes per-update overhead (deferred swap
     /// search, one broadcast per burst).
@@ -50,15 +71,29 @@ impl Default for ServeConfig {
     }
 }
 
-/// One ingest command: its updates plus an optional reply channel
-/// (absent for fire-and-forget submissions). Single updates travel
-/// inline — a `submit` allocates no `Vec`.
+/// One command's verdicts: per update, its broadcast sequence number or
+/// the engine's rejection.
+type Verdicts = Vec<Result<u64, EngineError>>;
+
+/// One ingest command: its updates plus where its verdicts go. Single
+/// updates travel inline — a `submit` allocates no `Vec`.
 struct Cmd {
     payload: Payload,
-    reply: Option<mpsc::Sender<Vec<Result<u64, EngineError>>>>,
+    reply: Reply,
     /// Submission time, captured only while stage timing is enabled —
-    /// the writer charges `recv → drain` to the ingest-wait stage.
+    /// the round charges `submit → drain` to the ingest-wait stage.
     queued_at: Option<Instant>,
+}
+
+/// Where a command's verdicts go.
+enum Reply {
+    /// Fire-and-forget: rejections show only in `serve_rejected_total`.
+    Detached,
+    /// A queued ticket, resolved by the thread that runs its round.
+    Ticket(mpsc::Sender<Verdicts>),
+    /// The submitting thread runs this round itself and takes the
+    /// verdicts back when the round returns.
+    Caller,
 }
 
 enum Payload {
@@ -83,8 +118,8 @@ impl Payload {
 
 /// The ingest gate: bounds queued updates with a counting semaphore
 /// whose release side is batched. Feeders block (or fail, on the `try`
-/// path) while the queue is at capacity; the writer releases one whole
-/// drained round at a time, so a saturated feeder wakes once per round
+/// path) while the queue is at capacity; each round releases its whole
+/// drained burst at a time, so a saturated feeder wakes once per round
 /// instead of once per freed slot — the park/unpark cost is amortized
 /// over the burst.
 #[derive(Debug)]
@@ -97,9 +132,8 @@ struct Backpressure {
 #[derive(Debug, Default)]
 struct BpState {
     depth: u64,
-    /// Set when the writer thread is gone (normal exit or panic):
-    /// blocked feeders must wake and fail instead of waiting forever
-    /// for a release that will never come.
+    /// Set when the engine panicked: blocked feeders must wake and fail
+    /// instead of waiting forever for a release that will never come.
     closed: bool,
 }
 
@@ -142,24 +176,12 @@ impl Backpressure {
         self.cv.notify_all();
     }
 
-    /// Marks the writer as gone and wakes every blocked feeder.
+    /// Marks the service as dead and wakes every blocked feeder.
     fn close(&self) {
         let mut st = self.state.lock().unwrap();
         st.closed = true;
         drop(st);
         self.cv.notify_all();
-    }
-}
-
-/// Closes the backpressure gate when the writer thread exits — on the
-/// normal path *and* when a (custom) engine panics mid-apply, so
-/// feeders blocked in `acquire` fail with [`ServeError::Stopped`]
-/// instead of hanging forever.
-struct CloseGateOnExit<'a>(&'a Backpressure);
-
-impl Drop for CloseGateOnExit<'_> {
-    fn drop(&mut self) {
-        self.0.close();
     }
 }
 
@@ -177,13 +199,35 @@ pub struct ServiceReport {
     pub metrics: MetricsSnapshot,
 }
 
+/// How a submission's verdicts come back.
+#[derive(Debug)]
+enum Receipt {
+    /// The submitting thread applied the round itself: the verdicts
+    /// (or `Stopped`, if the engine panicked) are already here.
+    Ready(Result<Verdicts, ServeError>),
+    /// Queued: the thread that runs the round sends them.
+    Pending(mpsc::Receiver<Verdicts>),
+}
+
+impl Receipt {
+    fn recv(self) -> Result<Verdicts, ServeError> {
+        match self {
+            Receipt::Ready(verdicts) => verdicts,
+            Receipt::Pending(rx) => rx.recv().map_err(|_| ServeError::Stopped),
+        }
+    }
+}
+
 /// Receipt for a single-update submission.
 ///
-/// Dropping a ticket without waiting is allowed (fire-and-forget after
-/// the fact); the writer's send to it simply goes nowhere.
+/// A submission that found the service idle was applied before
+/// `submit` returned, so its ticket is already resolved; a queued one
+/// resolves when the writer thread applies it. Dropping a ticket
+/// without waiting is allowed (fire-and-forget after the fact); the
+/// verdict simply goes nowhere.
 #[derive(Debug)]
 pub struct Ticket {
-    rx: mpsc::Receiver<Vec<Result<u64, EngineError>>>,
+    receipt: Receipt,
 }
 
 impl Ticket {
@@ -191,7 +235,7 @@ impl Ticket {
     /// broadcast batch containing it) or rejected (the engine's typed
     /// error, as [`ServeError::Rejected`]).
     pub fn wait(self) -> Result<u64, ServeError> {
-        let mut results = self.rx.recv().map_err(|_| ServeError::Stopped)?;
+        let mut results = self.receipt.recv()?;
         match results.pop() {
             Some(Ok(seq)) => Ok(seq),
             Some(Err(e)) => Err(ServeError::Rejected(e)),
@@ -204,7 +248,7 @@ impl Ticket {
 /// in submission order.
 #[derive(Debug)]
 pub struct BatchTicket {
-    rx: mpsc::Receiver<Vec<Result<u64, EngineError>>>,
+    receipt: Receipt,
 }
 
 impl BatchTicket {
@@ -214,7 +258,143 @@ impl BatchTicket {
     /// `Result` (the sequence number of its broadcast, or the engine's
     /// rejection).
     pub fn wait(self) -> Result<Vec<Result<u64, EngineError>>, ServeError> {
-        self.rx.recv().map_err(|_| ServeError::Stopped)
+        self.receipt.recv()
+    }
+}
+
+/// What the ingest handles and the writer thread share.
+struct Shared {
+    queue: Mutex<Queue>,
+    /// Wakes the writer: a backlog waits with no round running, the
+    /// last ingest handle is gone, or the engine died.
+    work: Condvar,
+    /// The engine and the round buffers. Only the thread that set
+    /// [`Queue::busy`] locks it, so the lock is never contended.
+    combiner: Mutex<Combiner>,
+    bp: Backpressure,
+    log: Arc<SharedLog>,
+    metrics: Arc<ServiceMetrics>,
+    burst: usize,
+}
+
+#[derive(Default)]
+struct Queue {
+    cmds: VecDeque<Cmd>,
+    /// A round is running, on the writer or on a submitting thread.
+    busy: bool,
+    /// Every ingest handle is gone: the writer drains what is left and
+    /// exits.
+    closed: bool,
+    /// The engine panicked: nothing more is admitted or applied.
+    dead: bool,
+}
+
+/// The engine plus the round buffers, which are reused round over
+/// round.
+struct Combiner {
+    engine: Box<dyn DynamicMis>,
+    round: Vec<Cmd>,
+    updates: Vec<Update>,
+    outcomes: Vec<Option<EngineError>>,
+    ranges: Vec<Range<usize>>,
+}
+
+/// Why the queue lock cannot be poisoned: nothing under it panics.
+const QUEUE_LOCK: &str = "no code panics while holding the queue lock";
+/// Why the combiner lock cannot be poisoned: the round catches an
+/// engine panic before the guard drops.
+const COMBINER_LOCK: &str = "an engine panic is caught inside the round";
+
+impl Shared {
+    fn queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect(QUEUE_LOCK)
+    }
+
+    /// Runs one round; the caller has set [`Queue::busy`]. The round is
+    /// `own` (an idle submitter's command) plus whatever is queued, up
+    /// to the burst. It clears `busy` at the end, waking the writer if
+    /// a backlog formed meanwhile, and returns `own`'s verdicts.
+    ///
+    /// A panicking engine is caught here, so it never unwinds into a
+    /// submitting thread: the service dies, and every waiting ticket
+    /// and parked feeder gets [`ServeError::Stopped`].
+    fn run_round(&self, own: Option<Cmd>) -> Result<Option<Verdicts>, ServeError> {
+        let mut combiner = self.combiner.lock().expect(COMBINER_LOCK);
+        let c = &mut *combiner;
+        // Stage: batch drain — from taking the engine to the merged
+        // slice.
+        let t_drain = self.metrics.batch_drain.begin();
+        c.round.extend(own);
+        let mut total: usize = c.round.iter().map(|cmd| cmd.payload.len()).sum();
+        // Adaptive batching: whatever is queued right now rides along,
+        // up to the burst cap. An idle queue means batch size 1 (lowest
+        // latency); a saturated queue means full bursts (highest
+        // amortization).
+        let mut q = self.queue();
+        while total < self.burst {
+            match q.cmds.pop_front() {
+                Some(cmd) => {
+                    total += cmd.payload.len();
+                    c.round.push(cmd);
+                }
+                None => break,
+            }
+        }
+        drop(q);
+        let weight = c.round.iter().map(|cmd| cmd.payload.weight()).sum();
+        // Free the whole round's queue budget in one step — blocked
+        // feeders wake once per round and refill while the engine
+        // works on this batch.
+        self.bp.release(weight);
+        self.metrics.batch_drain.end(t_drain);
+
+        let applied = panic::catch_unwind(AssertUnwindSafe(|| {
+            apply_round(c, &self.log, &self.metrics)
+        }));
+        let mut q = self.queue();
+        q.busy = false;
+        match applied {
+            Ok(own) => {
+                let wake = !q.cmds.is_empty();
+                drop(q);
+                if wake {
+                    self.work.notify_one();
+                }
+                Ok(own)
+            }
+            Err(_) => {
+                q.dead = true;
+                let backlog = std::mem::take(&mut q.cmds);
+                drop(q);
+                self.bp.close();
+                self.work.notify_one();
+                // Dropping the reply senders resolves every ticket of
+                // this round and of the backlog with `Stopped`.
+                c.round.clear();
+                drop(backlog);
+                Err(ServeError::Stopped)
+            }
+        }
+    }
+}
+
+/// The last clone of an [`IngestHandle`] closes the queue when it goes:
+/// the writer then flushes what is queued and exits.
+struct Feed {
+    shared: Arc<Shared>,
+}
+
+impl Drop for Feed {
+    fn drop(&mut self) {
+        // No panic in `drop`: the guard is sound even if poisoned.
+        let mut q = self
+            .shared
+            .queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        q.closed = true;
+        drop(q);
+        self.shared.work.notify_one();
     }
 }
 
@@ -223,106 +403,143 @@ impl BatchTicket {
 /// ingest handle (and the [`ServiceHandle`]) is dropped.
 #[derive(Clone)]
 pub struct IngestHandle {
-    tx: mpsc::Sender<Cmd>,
-    bp: Arc<Backpressure>,
-    metrics: Arc<ServiceMetrics>,
+    feed: Arc<Feed>,
 }
 
 impl IngestHandle {
+    fn shared(&self) -> &Shared {
+        &self.feed.shared
+    }
+
+    /// Admits a command through the backpressure gate, then either runs
+    /// its round on this thread (a ticketed command on an idle service)
+    /// or queues it for the writer.
     fn send(&self, payload: Payload, want_ticket: bool, blocking: bool) -> SendOutcome {
+        let sh = self.shared();
         let n = payload.len() as u64;
         let weight = payload.weight();
-        self.bp.acquire(weight, blocking)?;
-        let (reply, rx) = if want_ticket {
-            let (tx, rx) = mpsc::channel();
-            (Some(tx), Some(rx))
-        } else {
-            (None, None)
-        };
-        self.metrics.queue_depth.add(n);
+        sh.bp.acquire(weight, blocking)?;
+        sh.metrics.queue_depth.add(n);
         let queued_at = dynamis_obs::mark();
-        match self.tx.send(Cmd {
+        let mut q = sh.queue();
+        if q.dead {
+            drop(q);
+            sh.bp.release(weight);
+            sh.metrics.queue_depth.sub(n);
+            return Err(ServeError::Stopped);
+        }
+        sh.metrics.submitted.add(n);
+        if want_ticket && !q.busy && q.cmds.is_empty() {
+            // Idle: this thread takes the engine for one round.
+            q.busy = true;
+            drop(q);
+            let cmd = Cmd {
+                payload,
+                reply: Reply::Caller,
+                queued_at,
+            };
+            let verdicts = sh
+                .run_round(Some(cmd))
+                .map(|own| own.expect("a caller's command is in its own round"));
+            return Ok(Some(Receipt::Ready(verdicts)));
+        }
+        let (reply, receipt) = if want_ticket {
+            let (tx, rx) = mpsc::channel();
+            (Reply::Ticket(tx), Some(Receipt::Pending(rx)))
+        } else {
+            (Reply::Detached, None)
+        };
+        // The writer parks only while the queue is empty and no round
+        // runs; a running round hands any backlog over when it ends.
+        let wake = !q.busy && q.cmds.is_empty();
+        q.cmds.push_back(Cmd {
             payload,
             reply,
             queued_at,
-        }) {
-            Ok(()) => {
-                self.metrics.submitted.add(n);
-                Ok(rx)
-            }
-            Err(_) => {
-                self.bp.release(weight);
-                self.metrics.queue_depth.sub(n);
-                Err(ServeError::Stopped)
-            }
+        });
+        drop(q);
+        if wake {
+            sh.work.notify_one();
         }
+        Ok(receipt)
     }
 
-    /// Enqueues one update, blocking while the queue is full. The
-    /// ticket reports the typed outcome.
+    /// Submits one update, blocking while the queue is full. On an idle
+    /// service it is applied on this thread before `submit` returns;
+    /// otherwise it queues for the writer. The ticket reports the typed
+    /// outcome either way.
     pub fn submit(&self, update: Update) -> Result<Ticket, ServeError> {
         self.send(Payload::One(update), true, true)
-            .map(|rx| Ticket { rx: rx.unwrap() })
+            .map(|receipt| Ticket {
+                receipt: receipt.unwrap(),
+            })
     }
 
     /// Like [`IngestHandle::submit`], but fails with
     /// [`ServeError::QueueFull`] instead of blocking.
     pub fn try_submit(&self, update: Update) -> Result<Ticket, ServeError> {
         self.send(Payload::One(update), true, false)
-            .map(|rx| Ticket { rx: rx.unwrap() })
+            .map(|receipt| Ticket {
+                receipt: receipt.unwrap(),
+            })
     }
 
     /// Fire-and-forget single update (no ticket allocated; rejections
-    /// are only visible in the `serve_rejected_total` counter).
+    /// are only visible in the `serve_rejected_total` counter). Always
+    /// queued for the writer, so a fast feeder's updates merge into
+    /// bursts.
     pub fn submit_detached(&self, update: Update) -> Result<(), ServeError> {
         self.send(Payload::One(update), false, true).map(|_| ())
     }
 
-    /// Enqueues a pre-formed batch as one command, blocking while the
-    /// queue is full.
+    /// Submits a pre-formed batch as one command, blocking while the
+    /// queue is full. Like [`IngestHandle::submit`], it is applied on
+    /// this thread when the service is idle.
     pub fn submit_batch(&self, updates: Vec<Update>) -> Result<BatchTicket, ServeError> {
         self.send(Payload::Many(updates), true, true)
-            .map(|rx| BatchTicket { rx: rx.unwrap() })
+            .map(|receipt| BatchTicket {
+                receipt: receipt.unwrap(),
+            })
     }
 
     /// Point-in-time telemetry snapshot — same view as
     /// [`ServiceHandle::metrics`], available to feeder threads that only
     /// hold an ingest handle (the network front end's session threads).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.shared().metrics.snapshot()
     }
 
     /// The service's private registry, where a front end registers its
     /// own per-service series so they land in [`IngestHandle::metrics`].
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        self.metrics.registry()
+        self.shared().metrics.registry()
     }
 
     /// Updates currently admitted into the queue and not yet applied —
     /// the signal admission control samples to shed clients *before*
     /// they hit the blocking backpressure gate.
     pub fn queue_depth(&self) -> u64 {
-        self.metrics.queue_depth.get()
+        self.shared().metrics.queue_depth.get()
     }
 }
 
-type SendOutcome = Result<Option<mpsc::Receiver<Vec<Result<u64, EngineError>>>>, ServeError>;
+type SendOutcome = Result<Option<Receipt>, ServeError>;
 
 /// The owning handle of a running service: submits updates, creates
 /// readers, reads metrics, and shuts the service down.
 ///
 /// Dropping the handle without calling [`ServiceHandle::shutdown`]
 /// detaches the writer thread: it still flushes the queue and exits
-/// once the last sender dies, but the final [`ServiceReport`] is
-/// discarded.
+/// once the last ingest handle is gone, but the final [`ServiceReport`]
+/// is discarded.
 pub struct ServiceHandle {
     ingest: IngestHandle,
     join: JoinHandle<ServiceReport>,
-    log: Arc<SharedLog>,
 }
 
 impl ServiceHandle {
-    /// Enqueues one update, blocking while the queue is full.
+    /// Submits one update, blocking while the queue is full; see
+    /// [`IngestHandle::submit`].
     pub fn submit(&self, update: Update) -> Result<Ticket, ServeError> {
         self.ingest.submit(update)
     }
@@ -332,12 +549,12 @@ impl ServiceHandle {
         self.ingest.try_submit(update)
     }
 
-    /// Fire-and-forget single update.
+    /// Fire-and-forget single update, always queued for the writer.
     pub fn submit_detached(&self, update: Update) -> Result<(), ServeError> {
         self.ingest.submit_detached(update)
     }
 
-    /// Enqueues a pre-formed batch as one command.
+    /// Submits a pre-formed batch as one command.
     pub fn submit_batch(&self, updates: Vec<Update>) -> Result<BatchTicket, ServeError> {
         self.ingest.submit_batch(updates)
     }
@@ -351,7 +568,8 @@ impl ServiceHandle {
     /// including the bootstrap delta, so it reconstructs the engine's
     /// current solution without ever materializing it from the engine.
     pub fn reader(&self) -> ReaderHandle {
-        ReaderHandle::new(Arc::clone(&self.log), Arc::clone(&self.ingest.metrics))
+        let shared = self.ingest.shared();
+        ReaderHandle::new(Arc::clone(&shared.log), Arc::clone(&shared.metrics))
     }
 
     /// Point-in-time telemetry snapshot: the process-global registry
@@ -365,7 +583,7 @@ impl ServiceHandle {
     /// The service's broadcast log — the sequenced delta stream a
     /// network front end serializes for its subscribers.
     pub fn log(&self) -> Arc<SharedLog> {
-        Arc::clone(&self.log)
+        Arc::clone(&self.ingest.shared().log)
     }
 
     /// Graceful shutdown: stops accepting new work from **this**
@@ -374,13 +592,10 @@ impl ServiceHandle {
     /// returns the final report.
     ///
     /// Blocks until every [`IngestHandle`] clone has been dropped too —
-    /// the queue closes only when its last sender dies.
+    /// the queue closes only when its last handle goes. Panics if the
+    /// engine panicked while the service ran.
     pub fn shutdown(self) -> ServiceReport {
-        let ServiceHandle {
-            ingest,
-            join,
-            log: _log,
-        } = self;
+        let ServiceHandle { ingest, join } = self;
         drop(ingest);
         join.join().expect("serve writer thread panicked")
     }
@@ -408,10 +623,11 @@ impl ServiceHandle {
 pub struct MisService;
 
 impl MisService {
-    /// Spawns the writer thread over the engine described by `builder`
-    /// (the paper engine matching the builder's `k`, via
-    /// [`EngineBuilder::build`]). The engine is constructed *inside*
-    /// the writer thread; construction errors are reported here.
+    /// Spawns the service over the engine described by `builder` (the
+    /// paper engine matching the builder's `k`, via
+    /// [`EngineBuilder::build`]). The engine is constructed on the
+    /// `dynamis-serve-writer` thread; construction errors are reported
+    /// here.
     ///
     /// Returns the owning [`ServiceHandle`] plus a first
     /// [`ReaderHandle`].
@@ -424,6 +640,9 @@ impl MisService {
 
     /// Like [`MisService::spawn`], but with an arbitrary engine
     /// factory — any [`DynamicMis`], including baselines or wrappers.
+    /// The factory runs on the `dynamis-serve-writer` thread. After
+    /// that the engine is applied on whichever thread runs a round:
+    /// the writer, or a submitting thread that found the service idle.
     pub fn spawn_with<F>(
         factory: F,
         cfg: ServeConfig,
@@ -431,13 +650,7 @@ impl MisService {
     where
         F: FnOnce() -> Result<Box<dyn DynamicMis>, EngineError> + Send + 'static,
     {
-        let (tx, rx) = mpsc::channel();
-        let bp = Arc::new(Backpressure::new(cfg.queue_updates));
-        let log = Arc::new(SharedLog::new(cfg.log_window));
-        let metrics = Arc::new(ServiceMetrics::new(Arc::clone(&log)));
-        let burst = cfg.burst.max(1);
         let (ready_tx, ready_rx) = mpsc::channel();
-        let (wlog, wmetrics, wbp) = (Arc::clone(&log), Arc::clone(&metrics), Arc::clone(&bp));
         let join = thread::Builder::new()
             .name("dynamis-serve-writer".into())
             .spawn(move || {
@@ -448,7 +661,7 @@ impl MisService {
                         return ServiceReport::default();
                     }
                 };
-                let _gate_guard = CloseGateOnExit(&wbp);
+                let log = Arc::new(SharedLog::new(cfg.log_window));
                 // Expose the construction-time bootstrap *before*
                 // signalling readiness, so a reader created right after
                 // `spawn` returns already sees the initial solution: a
@@ -457,107 +670,93 @@ impl MisService {
                 // base checkpoint so old subscribers re-seed cleanly.
                 if cfg.first_seq > 0 {
                     let _ = engine.drain_delta();
-                    wlog.install_checkpoint(cfg.first_seq, &engine.solution());
+                    log.install_checkpoint(cfg.first_seq, &engine.solution());
                 } else {
-                    wlog.publish(engine.drain_delta());
+                    log.publish(engine.drain_delta());
                 }
-                let _ = ready_tx.send(Ok(()));
-                writer_loop(engine.as_mut(), rx, &wlog, &wmetrics, &wbp, burst);
+                let shared = Arc::new(Shared {
+                    queue: Mutex::default(),
+                    work: Condvar::new(),
+                    combiner: Mutex::new(Combiner {
+                        engine,
+                        round: Vec::new(),
+                        updates: Vec::new(),
+                        outcomes: Vec::new(),
+                        ranges: Vec::new(),
+                    }),
+                    bp: Backpressure::new(cfg.queue_updates),
+                    metrics: Arc::new(ServiceMetrics::new(Arc::clone(&log))),
+                    log,
+                    burst: cfg.burst.max(1),
+                });
+                let _ = ready_tx.send(Ok(Arc::clone(&shared)));
+                writer_loop(&shared);
+                let c = shared.combiner.lock().expect(COMBINER_LOCK);
                 ServiceReport {
-                    engine: engine.name().to_string(),
-                    solution: engine.solution(),
-                    head_seq: wlog.head(),
-                    metrics: wmetrics.snapshot(),
+                    engine: c.engine.name().to_string(),
+                    solution: c.engine.solution(),
+                    head_seq: shared.log.head(),
+                    metrics: shared.metrics.snapshot(),
                 }
             })
             .expect("failed to spawn serve writer thread");
-        match ready_rx.recv() {
-            Ok(Ok(())) => {}
+        let shared = match ready_rx.recv() {
+            Ok(Ok(shared)) => shared,
             Ok(Err(e)) => {
                 let _ = join.join();
                 return Err(e);
             }
             Err(_) => panic!("serve writer thread died during engine construction"),
-        }
+        };
         let handle = ServiceHandle {
-            ingest: IngestHandle { tx, bp, metrics },
+            ingest: IngestHandle {
+                feed: Arc::new(Feed { shared }),
+            },
             join,
-            log,
         };
         let reader = handle.reader();
         Ok((handle, reader))
     }
 }
 
-/// The writer loop: blockingly receive one command, opportunistically
-/// drain more up to the burst, feed the merged slice through
-/// `try_apply_batch`, broadcast the net delta, resolve tickets. Exits
-/// when every sender is gone — which is exactly the graceful-shutdown
-/// flush, since `recv` keeps returning queued commands until the queue
-/// is both closed *and* empty.
-fn writer_loop(
-    engine: &mut dyn DynamicMis,
-    rx: mpsc::Receiver<Cmd>,
-    log: &SharedLog,
-    obs: &ServiceMetrics,
-    bp: &Backpressure,
-    burst: usize,
-) {
-    let mut round: Vec<Cmd> = Vec::new();
-    let mut updates: Vec<Update> = Vec::new();
-    let mut outcomes: Vec<Option<EngineError>> = Vec::new();
-    let mut ranges: Vec<std::ops::Range<usize>> = Vec::new();
-    while let Ok(first) = rx.recv() {
-        // Stage: batch drain — the idle blocking `recv` above is not
-        // latency, but everything from here to the merged slice is.
-        let t_drain = obs.batch_drain.begin();
-        let mut total = first.payload.len();
-        let mut weight = first.payload.weight();
-        round.push(first);
-        // Adaptive batching: whatever is queued right now rides along,
-        // up to the burst cap. An idle queue means batch size 1 (lowest
-        // latency); a saturated queue means full bursts (highest
-        // amortization).
-        while total < burst {
-            match rx.try_recv() {
-                Ok(cmd) => {
-                    total += cmd.payload.len();
-                    weight += cmd.payload.weight();
-                    round.push(cmd);
-                }
-                Err(_) => break,
-            }
+/// The writer loop: parks until a backlog waits with no round running,
+/// then runs a burst-sized round of it. Exits once every ingest handle
+/// is gone and the queue is empty — which is exactly the
+/// graceful-shutdown flush. Panics if the engine died, so that
+/// [`ServiceHandle::shutdown`] reports it.
+fn writer_loop(sh: &Shared) {
+    let mut q = sh.queue();
+    loop {
+        if q.dead {
+            drop(q);
+            panic!("the served engine panicked mid-apply");
         }
-        // Free the whole round's queue budget in one step — blocked
-        // feeders wake once per round and refill while the engine
-        // works on this batch.
-        bp.release(weight);
-        obs.batch_drain.end(t_drain);
-        apply_round(
-            engine,
-            &mut round,
-            &mut updates,
-            &mut outcomes,
-            &mut ranges,
-            log,
-            obs,
-        );
+        if !q.busy && !q.cmds.is_empty() {
+            q.busy = true;
+            drop(q);
+            // A panic is recorded in `dead`, read on the next pass.
+            let _ = sh.run_round(None);
+            q = sh.queue();
+        } else if q.closed {
+            // No handle is left, so no submitter can be running a round.
+            return;
+        } else {
+            q = sh.work.wait(q).expect(QUEUE_LOCK);
+        }
     }
 }
 
-/// Applies one merged round of commands and resolves their tickets.
-/// Every buffer is caller-owned and reused round over round — the
-/// writer hot path allocates nothing of its own here.
-#[allow(clippy::too_many_arguments)]
-fn apply_round(
-    engine: &mut dyn DynamicMis,
-    round: &mut Vec<Cmd>,
-    updates: &mut Vec<Update>,
-    outcomes: &mut Vec<Option<EngineError>>,
-    ranges: &mut Vec<std::ops::Range<usize>>,
-    log: &SharedLog,
-    obs: &ServiceMetrics,
-) {
+/// Applies one merged round of commands and resolves their tickets;
+/// returns the verdicts of the submitting thread's own command, if the
+/// round has one. Every buffer is reused round over round.
+fn apply_round(c: &mut Combiner, log: &SharedLog, obs: &ServiceMetrics) -> Option<Verdicts> {
+    let Combiner {
+        engine,
+        round,
+        updates,
+        outcomes,
+        ranges,
+    } = c;
     // Stage: ingest wait — charge each command's queue time against one
     // clock read (timestamps exist only while stage timing is enabled).
     if round.iter().any(|c| c.queued_at.is_some()) {
@@ -620,16 +819,24 @@ fn apply_round(
     obs.rejected.add(rejected as u64);
     obs.batch_size.record(n as u64);
 
+    let mut own = None;
     for (cmd, range) in round.drain(..).zip(ranges.drain(..)) {
-        if let Some(reply) = cmd.reply {
-            let results = range
+        let verdicts = || -> Verdicts {
+            range
                 .map(|i| match outcomes[i].take() {
                     None => Ok(seq),
                     Some(e) => Err(e),
                 })
-                .collect();
+                .collect()
+        };
+        match cmd.reply {
+            Reply::Detached => {}
             // A dropped ticket is fine — fire-and-forget after the fact.
-            let _ = reply.send(results);
+            Reply::Ticket(tx) => {
+                let _ = tx.send(verdicts());
+            }
+            Reply::Caller => own = Some(verdicts()),
         }
     }
+    own
 }

@@ -1,16 +1,20 @@
 //! Concurrency contract of the serving layer.
 //!
-//! * **Convergence**: with a writer thread and several reader threads
+//! * **Convergence**: with a feeder and several reader threads
 //!   hammering queries through thousands of mixed updates, every
 //!   reader's mirror equals the engine's `solution()` at quiesce —
 //!   readers only ever consumed broadcast deltas (there is no engine
-//!   lock to block on; the engine lives privately inside the writer).
+//!   lock to block on; the engine lives privately inside the service).
 //! * **Flush on shutdown**: everything submitted before `shutdown()`
 //!   is applied and broadcast.
 //! * **Backpressure**: a full bounded queue fails `try_submit`
 //!   deterministically (pinned with a gated engine, not with timing).
 //! * **Typed rejections**: invalid updates inside a burst reach their
 //!   tickets as `EngineError`s while the rest of the burst applies.
+//! * **Who applies what**: a ticketed submission on an idle service is
+//!   applied on the submitting thread; what queues behind it is applied
+//!   by the writer thread in merged bursts; an engine panic in either
+//!   comes back as `Stopped` (pinned with gates, not with timing).
 
 use dynamis_core::{DynamicMis, EngineBuilder, EngineError, SolutionDelta};
 use dynamis_gen::adversarial::{AdversarialConfig, AdversarialStream};
@@ -20,7 +24,7 @@ use dynamis_graph::{DynamicGraph, Update};
 use dynamis_obs::MetricsSnapshot;
 use dynamis_serve::{MisService, ServeConfig, ServeError};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::thread;
 
 /// Scale knob: thousands of updates, kept debug-buildable; CI runs
@@ -55,26 +59,38 @@ fn stress_multithreaded_readers_converge_at_quiesce() {
     )
     .unwrap();
 
-    // Two dedicated reader threads querying as fast as they can.
+    // Two dedicated reader threads querying as fast as they can. Each
+    // answers its first queries before the feeder starts, so the
+    // readers provably run beside the writes rather than depending on
+    // being scheduled before the feed ends.
     let stop = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(Barrier::new(3));
     let reader_threads: Vec<_> = (0..2)
         .map(|_| {
             let mut r = service.reader();
             let stop = Arc::clone(&stop);
+            let started = Arc::clone(&started);
             thread::spawn(move || {
                 let mut queries = 0u64;
                 let mut members = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     if r.contains((queries % 512) as u32) {
                         members += 1;
                     }
                     let _ = r.len();
                     queries += 2;
+                    if queries == 2 {
+                        started.wait();
+                    }
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 (r, queries, members)
             })
         })
         .collect();
+    started.wait();
 
     // Feeder: mixed valid updates, every 50th doubled with an invalid
     // one whose ticket must carry the typed rejection.
@@ -178,12 +194,17 @@ struct Gate {
 struct GateState {
     open: bool,
     entered: u64,
+    /// Per entry: the applying thread's name and the batch length.
+    passes: Vec<(String, usize)>,
 }
 
 impl Gate {
-    /// Writer side: announce entry, then wait for the gate to open.
-    fn pass(&self) {
+    /// Engine side: record who applies how many updates, announce
+    /// entry, then wait for the gate to open.
+    fn pass(&self, updates: usize) {
         let mut st = self.state.lock().unwrap();
+        let name = thread::current().name().unwrap_or_default().to_string();
+        st.passes.push((name, updates));
         st.entered += 1;
         self.cv.notify_all();
         while !st.open {
@@ -191,7 +212,7 @@ impl Gate {
         }
     }
 
-    /// Test side: wait until the writer is provably inside `pass`.
+    /// Test side: wait until a round is provably inside `pass`.
     fn wait_entered(&self, n: u64) {
         let mut st = self.state.lock().unwrap();
         while st.entered < n {
@@ -204,6 +225,10 @@ impl Gate {
         st.open = true;
         self.cv.notify_all();
     }
+
+    fn passes(&self) -> Vec<(String, usize)> {
+        self.state.lock().unwrap().passes.clone()
+    }
 }
 
 impl DynamicMis for GatedEngine {
@@ -214,11 +239,11 @@ impl DynamicMis for GatedEngine {
         self.inner.graph()
     }
     fn try_apply(&mut self, u: &Update) -> Result<SolutionDelta, EngineError> {
-        self.gate.pass();
+        self.gate.pass(1);
         self.inner.try_apply(u)
     }
     fn try_apply_batch(&mut self, updates: &[Update]) -> Result<SolutionDelta, EngineError> {
-        self.gate.pass();
+        self.gate.pass(updates.len());
         self.inner.try_apply_batch(updates)
     }
     fn drain_delta(&mut self) -> SolutionDelta {
@@ -259,9 +284,12 @@ fn bounded_queue_applies_backpressure() {
     )
     .unwrap();
 
-    // First submission: the writer dequeues it and blocks inside the
-    // engine (provably — we wait for the gate entry).
-    let t1 = service.submit(Update::InsertEdge(0, 2)).unwrap();
+    // First submission: the service is idle, so it is applied on the
+    // submitting thread, which blocks inside the engine (provably — we
+    // wait for the gate entry). Submit it from a thread of its own so
+    // this one stays free.
+    let ingest = service.ingest();
+    let first = thread::spawn(move || ingest.submit(Update::InsertEdge(0, 2)).unwrap());
     gate.wait_entered(1);
     // Second submission parks in the queue's single slot.
     let t2 = service.submit(Update::InsertEdge(1, 3)).unwrap();
@@ -270,12 +298,13 @@ fn bounded_queue_applies_backpressure() {
         Err(ServeError::QueueFull) => {}
         other => panic!("expected QueueFull, got {other:?}"),
     }
-    // The writer is blocked: the queued update shows in a snapshot taken
-    // now, not only after the writer's next round.
+    // The round is blocked: the queued update shows in a snapshot taken
+    // now, not only after the next round.
     assert!(gauge(&service.metrics(), "serve_queue_depth") >= 1);
 
     // Open the gate: everything flows, tickets resolve in order.
     gate.open();
+    let t1 = first.join().unwrap();
     t1.wait().unwrap();
     t2.wait().unwrap();
     // The rejected-by-backpressure update was never queued; submitting
@@ -305,11 +334,11 @@ impl DynamicMis for PanickingEngine {
         self.inner.graph()
     }
     fn try_apply(&mut self, _u: &Update) -> Result<SolutionDelta, EngineError> {
-        self.gate.pass();
+        self.gate.pass(1);
         panic!("engine bug");
     }
-    fn try_apply_batch(&mut self, _updates: &[Update]) -> Result<SolutionDelta, EngineError> {
-        self.gate.pass();
+    fn try_apply_batch(&mut self, updates: &[Update]) -> Result<SolutionDelta, EngineError> {
+        self.gate.pass(updates.len());
         panic!("engine bug");
     }
     fn drain_delta(&mut self) -> SolutionDelta {
@@ -350,8 +379,10 @@ fn writer_panic_unblocks_parked_feeders() {
     )
     .unwrap();
 
-    // First update: dequeued by the writer, which blocks at the gate.
-    let t1 = service.submit(Update::InsertEdge(0, 2)).unwrap();
+    // First update: applied on its idle submitter's thread, which
+    // blocks at the gate.
+    let ingest = service.ingest();
+    let first = thread::spawn(move || ingest.submit(Update::InsertEdge(0, 2)).unwrap());
     gate.wait_entered(1);
     // Second update: occupies the queue's single slot.
     let t2 = service.submit(Update::InsertEdge(1, 3)).unwrap();
@@ -359,19 +390,144 @@ fn writer_panic_unblocks_parked_feeders() {
     // crash — either way it must FAIL, not hang forever).
     let ingest = service.ingest();
     let parked = thread::spawn(move || ingest.submit(Update::InsertEdge(4, 5)));
-    // Let the engine "crash": the writer thread unwinds; the gate guard
-    // must close the backpressure so the parked feeder wakes with
-    // `Stopped`, and outstanding tickets resolve to `Stopped` too.
+    // Let the engine "crash" inside the first submitter's round: the
+    // round catches the unwind and must close the backpressure so the
+    // parked feeder wakes with `Stopped`, and outstanding tickets
+    // resolve to `Stopped` too.
     gate.open();
     match parked.join().unwrap() {
         Err(ServeError::Stopped) => {}
         other => panic!("parked feeder should observe Stopped, got {other:?}"),
     }
+    let t1 = first.join().unwrap();
     assert!(matches!(t1.wait(), Err(ServeError::Stopped)));
     assert!(matches!(t2.wait(), Err(ServeError::Stopped)));
-    // `shutdown` would propagate the writer panic; dropping the handle
+    // `shutdown` would propagate the engine panic; dropping the handle
     // detaches instead — the dead service rejects any further submit.
     drop(service);
+}
+
+/// Spawns a service over a gated engine on a six-vertex graph with
+/// edges (0, 1) and (2, 3).
+fn spawn_gated(
+    gate: &Arc<Gate>,
+    panics: bool,
+    queue_updates: usize,
+) -> (dynamis_serve::ServiceHandle, dynamis_serve::ReaderHandle) {
+    let gate = Arc::clone(gate);
+    MisService::spawn_with(
+        move || {
+            let g = DynamicGraph::from_edges(6, &[(0, 1), (2, 3)]);
+            let inner = EngineBuilder::on(g).build()?;
+            Ok(if panics {
+                Box::new(PanickingEngine { inner, gate }) as Box<dyn DynamicMis>
+            } else {
+                Box::new(GatedEngine { inner, gate })
+            })
+        },
+        ServeConfig {
+            queue_updates,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap()
+}
+
+#[test]
+fn idle_submit_applies_on_the_callers_thread_and_the_backlog_on_the_writer() {
+    let gate = Arc::new(Gate::default());
+    let (service, mut reader) = spawn_gated(&gate, false, 1024);
+
+    // The service is idle: the submitting thread runs the round itself
+    // and holds the engine at the gate.
+    let ingest = service.ingest();
+    let caller = thread::Builder::new()
+        .name("submitter".into())
+        .spawn(move || ingest.submit(Update::InsertEdge(0, 2)).unwrap().wait())
+        .unwrap();
+    gate.wait_entered(1);
+    // A round is running, so everything now queues — detached and
+    // ticketed alike.
+    for u in [
+        Update::InsertEdge(1, 3),
+        Update::InsertEdge(4, 5),
+        Update::RemoveEdge(0, 1),
+    ] {
+        service.submit_detached(u).unwrap();
+    }
+    let queued = service.submit(Update::RemoveEdge(2, 3)).unwrap();
+    assert_eq!(gauge(&service.metrics(), "serve_queue_depth"), 4);
+
+    gate.open();
+    let own_seq = caller.join().unwrap().unwrap();
+    let queued_seq = queued.wait().unwrap();
+    assert!(
+        own_seq < queued_seq,
+        "the backlog publishes after its round"
+    );
+    let report = service.shutdown();
+    assert_eq!(
+        gate.passes(),
+        vec![
+            ("submitter".to_string(), 1),
+            ("dynamis-serve-writer".to_string(), 4),
+        ],
+        "one inline round on the caller, then one merged round on the writer"
+    );
+    assert_eq!(applied(&report.metrics), 5);
+    assert_eq!(reader.snapshot(), report.solution);
+}
+
+#[test]
+fn inline_round_panic_returns_stopped_to_the_caller() {
+    let gate = Arc::new(Gate::default());
+    let (service, _reader) = spawn_gated(&gate, true, 1);
+
+    // Once this thread's round is inside the engine, a helper fills the
+    // queue's single slot, parks a feeder behind it, and lets the
+    // engine panic.
+    let ingest = service.ingest();
+    let helper_gate = Arc::clone(&gate);
+    let helper = thread::spawn(move || {
+        helper_gate.wait_entered(1);
+        let queued = ingest.submit(Update::InsertEdge(1, 3)).unwrap();
+        let feeder = ingest.clone();
+        let parked = thread::spawn(move || feeder.submit(Update::InsertEdge(4, 5)));
+        helper_gate.open();
+        (queued.wait(), parked.join().unwrap())
+    });
+
+    // Idle service: the round runs right here, and the engine panics in
+    // it. The panic must come back as `Stopped`, not unwind through
+    // `submit`.
+    let ticket = service.submit(Update::InsertEdge(0, 2)).unwrap();
+    assert!(matches!(ticket.wait(), Err(ServeError::Stopped)));
+    let me = thread::current().name().unwrap_or_default().to_string();
+    assert_eq!(gate.passes(), vec![(me, 1)]);
+
+    let (queued, parked) = helper.join().unwrap();
+    assert!(matches!(queued, Err(ServeError::Stopped)));
+    assert!(matches!(parked, Err(ServeError::Stopped)));
+
+    // The service is dead: every submission path refuses.
+    assert!(matches!(
+        service.submit(Update::InsertEdge(0, 3)),
+        Err(ServeError::Stopped)
+    ));
+    assert!(matches!(
+        service.try_submit(Update::InsertEdge(0, 3)),
+        Err(ServeError::Stopped)
+    ));
+    assert!(matches!(
+        service.submit_detached(Update::InsertEdge(0, 3)),
+        Err(ServeError::Stopped)
+    ));
+    assert!(matches!(
+        service.submit_batch(vec![Update::InsertEdge(0, 3)]),
+        Err(ServeError::Stopped)
+    ));
+    // `shutdown` reports the engine's panic.
+    assert!(thread::spawn(move || service.shutdown()).join().is_err());
 }
 
 #[test]

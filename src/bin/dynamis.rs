@@ -76,7 +76,7 @@ const USAGE: &str = "usage:
                     [--data-dir DIR] [--wal-sync batch|always|never]
                     [--checkpoint-every N]
   dynamis net-load --addr HOST:PORT [--subscribers N] [--writers W]
-                   [--updates U] [--vertices V] [--batch B] [--seed S] [--json]
+                   [--updates U] [--vertices V] [--batch B] [--seed S] [--json true]
   dynamis metrics --addr HOST:PORT [--json true | --prom true]
                   [--require NAME,NAME,...]
   dynamis recover --data-dir DIR [--mode verify|replay]
@@ -142,6 +142,17 @@ fn parse_flags(
         }
     }
     Ok(positional)
+}
+
+/// Reads a boolean flag: absent means `false`, and only `true` or
+/// `false` is accepted, so a typo fails instead of silently meaning
+/// `false`.
+fn parse_bool(name: &str, value: Option<&str>) -> Result<bool, String> {
+    match value {
+        None | Some("false") => Ok(false),
+        Some("true") => Ok(true),
+        Some(other) => Err(format!("--{name} expects true or false, got {other:?}")),
+    }
 }
 
 fn load_graph(path: &str) -> Result<DynamicGraph, String> {
@@ -444,7 +455,7 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
     if !positional.is_empty() {
         return Err("serve-bench takes only flags".into());
     }
-    if metrics.as_deref() == Some("true") {
+    if parse_bool("metrics", metrics.as_deref())? {
         dynamis::obs::set_enabled(true);
     }
     let g = starting_graph(dataset.as_deref(), graph.as_deref())?;
@@ -592,7 +603,7 @@ fn cmd_net_serve(args: &[String]) -> Result<(), String> {
             return Err("--checkpoint-every needs --data-dir".into());
         }
     }
-    if metrics.as_deref() == Some("true") {
+    if parse_bool("metrics", metrics.as_deref())? {
         dynamis::obs::set_enabled(true);
     }
     let g = starting_graph(dataset.as_deref(), graph.as_deref())?;
@@ -660,8 +671,8 @@ fn cmd_net_serve(args: &[String]) -> Result<(), String> {
         builder = p.resume_builder(builder);
     }
 
-    // In durable mode the built engine is wrapped in the WAL layer
-    // inside the writer thread (engines are not Send).
+    // In durable mode the built engine is wrapped in the WAL layer by
+    // the factory, which runs on the service's writer thread.
     let (service, _reader) = MisService::spawn_with(
         move || {
             let engine = builder.build()?;
@@ -821,6 +832,8 @@ fn cmd_net_load(args: &[String]) -> Result<(), String> {
     if !positional.is_empty() {
         return Err("net-load takes only flags".into());
     }
+    let json = parse_bool("json", json.as_deref())?;
+    let bootstrap = parse_bool("bootstrap", bootstrap.as_deref())?;
     let addr = addr.ok_or("net-load needs --addr HOST:PORT")?;
     let parse = |v: Option<&str>, default: usize, what: &str| -> Result<usize, String> {
         v.unwrap_or(&default.to_string())
@@ -839,10 +852,10 @@ fn cmd_net_load(args: &[String]) -> Result<(), String> {
         filter: filter
             .as_deref()
             .map_or(Ok(dynamis::net::SubFilter::All), str::parse)?,
-        bootstrap: bootstrap.as_deref() == Some("true"),
+        bootstrap,
     };
     let report = dynamis::net::load::run(&cfg).map_err(|e| format!("load run: {e}"))?;
-    if json.as_deref() == Some("true") {
+    if json {
         println!("{}", report.to_json());
     } else {
         println!(
@@ -896,13 +909,15 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     if !positional.is_empty() {
         return Err("metrics takes only flags".into());
     }
+    let json = parse_bool("json", json.as_deref())?;
+    let prom = parse_bool("prom", prom.as_deref())?;
     let addr = addr.ok_or("metrics needs --addr HOST:PORT")?;
     let mut client =
         dynamis::net::NetClient::connect(&addr).map_err(|e| format!("connecting {addr}: {e}"))?;
     let m = client.metrics().map_err(|e| format!("metrics call: {e}"))?;
-    if json.as_deref() == Some("true") {
+    if json {
         println!("{}", m.to_json());
-    } else if prom.as_deref() == Some("true") {
+    } else if prom {
         println!("{}", m.to_prometheus());
     } else {
         println!("snapshot v{}:", m.version);
@@ -1077,6 +1092,32 @@ mod tests {
                 "{flag}"
             );
         }
+    }
+
+    #[test]
+    fn boolean_flags_accept_only_true_or_false() {
+        // Rejected before a graph is built or an address is dialled, so
+        // no server starts and nothing connects.
+        let cases: [&[&str]; 6] = [
+            &["serve-bench", "--dataset", "Email", "--metrics", "yes"],
+            &["net-serve", "--dataset", "Email", "--metrics", "yes"],
+            &["net-load", "--addr", "127.0.0.1:1", "--json", "1"],
+            &["net-load", "--addr", "127.0.0.1:1", "--bootstrap", "on"],
+            &["metrics", "--addr", "127.0.0.1:1", "--json", "TRUE"],
+            &["metrics", "--addr", "127.0.0.1:1", "--prom", "yes"],
+        ];
+        for case in cases {
+            let args: Vec<String> = case.iter().map(|s| s.to_string()).collect();
+            let (flag, value) = (&case[case.len() - 2][2..], case[case.len() - 1]);
+            assert_eq!(
+                dispatch(&args),
+                Err(format!("--{flag} expects true or false, got {value:?}")),
+                "{case:?}"
+            );
+        }
+        assert_eq!(parse_bool("json", None), Ok(false));
+        assert_eq!(parse_bool("json", Some("false")), Ok(false));
+        assert_eq!(parse_bool("json", Some("true")), Ok(true));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! | [`statics`] | greedy, ARW local search, exact branch-and-reduce, reducing–peeling |
 //! | [`baselines`] | DyARW and the DGOneDIS/DGTwoDIS dependency-index emulation |
 //! | [`gen`] | graph generators, update streams, PLB estimation, dataset registry |
-//! | [`serve`] | concurrent serving layer: single-writer engine thread, batched ingest, delta-broadcast readers |
+//! | [`serve`] | concurrent serving layer: one engine round at a time (idle submissions on the caller's thread, the backlog on a writer thread), batched ingest, delta-broadcast readers |
 //! | [`net`] | network front end: length-prefixed wire protocol, per-client sessions, delta subscriptions, admission control |
 //! | [`durable`] | crash durability: segmented checksummed WAL of the accepted stream, snapshot checkpoints, torn-tail recovery |
 //!
